@@ -79,7 +79,9 @@ mod corpus;
 mod curve;
 mod engine;
 pub mod job;
-pub mod json;
+/// The workspace's JSON codec. It lives in `smartly-sat` so the daemon
+/// can share it; reports, digests and traces reach it through this path.
+pub use smartly_sat::json;
 pub mod knowledge;
 mod panic_guard;
 pub mod persist;

@@ -1,19 +1,38 @@
-//! A minimal, dependency-free JSON value tree with deterministic
-//! rendering and a small recursive-descent parser.
+//! The workspace's one JSON codec: a dependency-free value tree with
+//! deterministic rendering and a small recursive-descent parser.
 //!
-//! The workspace builds offline, so `serde_json` is unavailable; the
-//! driver's machine-readable reports need *writing* for a fixed schema,
-//! so a tiny value enum with insertion-ordered objects is enough.
-//! Rendering is deterministic: object keys keep the order they were
-//! inserted in, and floats are formatted with a fixed precision.
-//! [`Json::parse`] exists for the tools that read the driver's own
-//! artifacts back (`smartly trace`), not as a general-purpose JSON
-//! implementation.
+//! The workspace builds offline, so `serde_json` is unavailable. The
+//! codec lives here, next to the binary [`crate::codec`], because both
+//! the driver and the `smartly serve` daemon depend on this crate while
+//! neither depends on the other. It carries:
 //!
-//! Edge cases are defined, not accidental: non-finite floats (NaN, ±inf)
-//! render as `null` (never as the invalid bare tokens `NaN`/`inf`), and
-//! every control character below U+0020 in a string is escaped (`\n`,
-//! `\r`, `\t` short forms; `\u00XX` otherwise).
+//! * the driver's reports, `--digest` artifacts and Chrome trace
+//!   exports, rendered with [`Json::render`] / [`Json::render_pretty`];
+//! * the traces `smartly trace` reads back with [`Json::parse`];
+//! * every daemon response line, and every request line a client sends
+//!   it — untrusted input from any process that can open the socket.
+//!
+//! The contract:
+//!
+//! * **Never panics on input.** A malformed document is an `Err` naming
+//!   the byte offset of the first problem, and nesting deeper than 64
+//!   levels is rejected before it can exhaust a thread's stack. Parsing
+//!   is linear in the input length.
+//! * **Numbers carry no schema.** Non-negative integers without fraction
+//!   or exponent that fit a `u64` parse as [`Json::UInt`]; every other
+//!   number parses as [`Json::Float`]. Whether a field must be an
+//!   integer is the reader's call: [`Json::as_u64`] refuses floats, and
+//!   the daemon's request decoder (`protocol.rs` in `smartly-server`)
+//!   uses it to type-check `id` and `timeout_ms`.
+//! * **Deterministic rendering.** Object keys keep insertion order,
+//!   floats print with 6 decimal digits, and non-finite floats (NaN,
+//!   ±inf) render as `null`, never as the invalid bare tokens
+//!   `NaN`/`inf`. Every control character below U+0020 in a string is
+//!   escaped (`\n`, `\r`, `\t` short forms; `\u00XX` otherwise), so a
+//!   compact rendering never contains a raw newline — the daemon's
+//!   line framing relies on that.
+//! * **First write wins.** [`Json::get`] on an object with a repeated
+//!   key returns the first entry.
 
 use std::fmt::Write as _;
 
@@ -45,7 +64,7 @@ impl Json {
     }
 
     /// Inserts `key: value` (panics when `self` is not an object — a
-    /// driver-internal schema bug, not a runtime condition).
+    /// caller's schema bug, not a runtime condition).
     pub fn set(&mut self, key: &str, value: Json) -> &mut Self {
         match self {
             Json::Object(entries) => entries.push((key.to_string(), value)),
@@ -58,6 +77,14 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean (`Bool` only).
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -95,9 +122,8 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (the driver's own artifacts: traces and
-    /// reports). Non-negative integers without fraction or exponent
-    /// parse as [`Json::UInt`]; every other number parses as
+    /// Parses one JSON document. Non-negative integers without fraction
+    /// or exponent parse as [`Json::UInt`]; every other number parses as
     /// [`Json::Float`]. Trailing garbage is an error.
     ///
     /// # Errors
@@ -117,7 +143,7 @@ impl Json {
         Ok(v)
     }
 
-    /// Renders compactly (no whitespace).
+    /// Renders compactly (no whitespace, never a raw newline).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
@@ -212,9 +238,9 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Recursion guard for the parser; driver artifacts are a few levels
-/// deep, so a small fixed bound keeps hostile inputs from blowing the
-/// stack.
+/// Recursion guard for the parser. Reports and protocol lines are a few
+/// levels deep; the bound keeps a hostile line such as 10,000 `[` from
+/// overflowing a daemon connection thread's stack.
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
@@ -494,10 +520,10 @@ mod tests {
 
     #[test]
     fn parses_string_escapes() {
-        let v = Json::parse(r#""a\n\t\"\\Aé""#).unwrap();
+        let v = Json::parse(r#""a\n\t\"\\\u0041\u00e9""#).unwrap();
         assert_eq!(v, Json::Str("a\n\t\"\\Aé".into()));
         // Surrogate pair (U+1F600).
-        let v = Json::parse(r#""😀""#).unwrap();
+        let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v, Json::Str("\u{1F600}".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err());
         assert!(Json::parse(r#""\ude00""#).is_err());
@@ -542,11 +568,14 @@ mod tests {
 
     #[test]
     fn accessors_are_type_checked() {
-        let v = Json::parse(r#"{"n": 7, "s": "x"}"#).unwrap();
+        let v = Json::parse(r#"{"n": 7, "s": "x", "b": true}"#).unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("n").unwrap().as_str(), None);
+        assert_eq!(v.get("n").unwrap().as_bool(), None);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
+        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::UInt(1).get("k"), None);
+        assert_eq!(Json::Float(7.0).as_u64(), None);
     }
 }

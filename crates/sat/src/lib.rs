@@ -38,6 +38,12 @@
 //! [`tseitin::TseitinEncoder`] layers gate-consistency encoding on top, so
 //! circuit cones can be asserted directly.
 //!
+//! The crate also hosts the two codecs that the driver and the `smartly
+//! serve` daemon share — both depend on this crate, neither on the
+//! other: [`codec`], the checksummed little-endian binary format of the
+//! knowledge store and the job journal, and [`json`], the JSON of
+//! reports, digests, traces and the daemon's wire protocol.
+//!
 //! # Example
 //!
 //! ```
@@ -62,6 +68,7 @@ pub mod codec;
 pub mod deadline;
 pub mod dimacs;
 mod heap;
+pub mod json;
 mod solver;
 pub mod tseitin;
 

@@ -1,12 +1,14 @@
 //! `smartly serve`: a crash-recoverable optimization daemon.
 //!
 //! This crate is the service wrapper around the optimizer — and *only*
-//! the wrapper: it depends on the shared codec/cancellation crate and
-//! the fail-point registry, never on the optimizer itself. The daemon
-//! machinery is generic over a [`JobRunner`]; the `smartly` binary
-//! injects a driver-backed runner, and the test suites inject mocks
-//! (wedging, panicking, instant) to pin the fault ladder without
-//! paying for real optimizations.
+//! the wrapper: it depends on `smartly-sat` for the workspace's shared
+//! codecs (JSON for the [`wire`] protocol, binary frames for the
+//! [`journal`]) and the cancellation token, and on the fail-point
+//! registry, never on the optimizer itself. The daemon machinery is
+//! generic over a [`JobRunner`]; the `smartly` binary injects a
+//! driver-backed runner, and the test suites inject mocks (wedging,
+//! panicking, instant) to pin the fault ladder without paying for real
+//! optimizations.
 //!
 //! # Shape
 //!
@@ -626,6 +628,10 @@ fn finish_job(st: &mut State, id: u64, terminal: Terminal) {
     }
     if let Some(entry) = st.jobs.get_mut(&id) {
         entry.phase = Phase::Terminal(terminal);
+        // Only a job that may still run needs its source (the journal
+        // keeps a copy for replay); without this, a long-lived daemon
+        // holds every source it ever served.
+        entry.spec.source = String::new();
     }
 }
 

@@ -4,6 +4,13 @@
 //! about types (a string `timeout_ms` is an error, not a coercion) but
 //! lenient about omissions — every optional field has the documented
 //! default — so hand-typed `echo ... | nc -U` sessions work.
+//!
+//! Number types are checked here, not in the shared JSON codec, which
+//! parses any JSON number: `id` and `timeout_ms` must be unsigned
+//! integers that fit a `u64`, so `1.5`, `-3`, `1e9` and
+//! `18446744073709551616` there are errors. A number of any shape in a
+//! field the protocol does not read is ignored, like any other unknown
+//! field.
 
 use crate::wire::{parse, Value};
 
@@ -206,6 +213,17 @@ mod tests {
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line:?}: {err:?} lacks {needle:?}");
+        }
+        // Valid JSON numbers that are not u64s: the codec parses them,
+        // and the integer fields reject them here.
+        for number in ["1.5", "-3", "1e9", "18446744073709551616"] {
+            for line in [
+                format!(r#"{{"cmd":"status","id":{number}}}"#),
+                format!(r#"{{"cmd":"submit","source":"x","timeout_ms":{number}}}"#),
+            ] {
+                let err = parse_request(&line).expect_err(&line);
+                assert!(err.contains("integer"), "{line:?}: {err:?}");
+            }
         }
     }
 

@@ -218,6 +218,13 @@ fn full_verb_roundtrip_over_the_socket() {
     assert_eq!(unknown.get("ok"), Some(&wire::Value::Bool(false)));
     let garbage = rpc(&daemon.socket, "not json at all");
     assert_eq!(garbage.get("ok"), Some(&wire::Value::Bool(false)));
+    // 10,000 levels of nesting would overflow a connection thread's
+    // stack without the codec's depth bound; the daemon must answer it
+    // like any other malformed line and keep serving.
+    let deep = rpc(&daemon.socket, &"[".repeat(10_000));
+    assert_eq!(deep.get("ok"), Some(&wire::Value::Bool(false)));
+    let alive = rpc(&daemon.socket, "{\"cmd\":\"health\"}");
+    assert_eq!(alive.get("ok"), Some(&wire::Value::Bool(true)));
 
     let report = stop(daemon);
     assert_eq!(report.completed, 1);
