@@ -24,12 +24,6 @@ pub struct DecideOptions {
     pub sat_threshold: usize,
     /// Conflict budget per SAT query.
     pub conflict_budget: u64,
-    /// Use the fixed Luby restart schedule instead of the EMA-adaptive
-    /// controller (ablation baseline; verdicts are identical).
-    pub luby_restarts: bool,
-    /// Run solver inprocessing (vivification + subsumption at restart
-    /// boundaries). On by default; timing-only, never changes verdicts.
-    pub inprocessing: bool,
 }
 
 impl Default for DecideOptions {
@@ -38,8 +32,6 @@ impl Default for DecideOptions {
             sim_threshold: 10,
             sat_threshold: 64,
             conflict_budget: 2_000,
-            luby_restarts: false,
-            inprocessing: true,
         }
     }
 }
@@ -231,11 +223,6 @@ fn sat_decide(
     let mut enc = TseitinEncoder::new();
     enc.solver_mut()
         .set_conflict_budget(Some(options.conflict_budget));
-    if options.luby_restarts {
-        enc.solver_mut()
-            .set_restart_mode(smartly_sat::RestartMode::Luby);
-    }
-    enc.solver_mut().set_inprocessing(options.inprocessing);
     let mut lits: HashMap<SigBit, Lit> = HashMap::new();
 
     let lit_of = |bit: SigBit, enc: &mut TseitinEncoder, lits: &mut HashMap<SigBit, Lit>| -> Lit {
@@ -503,7 +490,6 @@ mod tests {
             sim_threshold: 4,
             sat_threshold: 8,
             conflict_budget: 100,
-            ..Default::default()
         };
         let (d, e) = run(&m, y.bit(0), &[], &opts);
         assert_eq!(d, Decision::Skipped);

@@ -966,14 +966,6 @@ impl<'m> QueryEngine<'m> {
             .solver_mut()
             .set_conflict_budget(Some(self.options.decide.conflict_budget));
         self.enc.solver_mut().set_deadline(self.deadline.clone());
-        if self.options.decide.luby_restarts {
-            self.enc
-                .solver_mut()
-                .set_restart_mode(smartly_sat::RestartMode::Luby);
-        }
-        self.enc
-            .solver_mut()
-            .set_inprocessing(self.options.decide.inprocessing);
         let query = |polarity: Lit, this: &mut Self| -> SolveResult {
             this.stats.sat_solves += 1;
             let mut a = assumptions.clone();

@@ -61,12 +61,6 @@ pub struct SatRedundancyOptions {
     /// Bound on distinct bits tracked by the engine's counterexample
     /// bank (oldest evicted first).
     pub cex_bank_capacity: usize,
-    /// Use the solver's fixed Luby restart schedule instead of the
-    /// EMA-adaptive controller (ablation baseline).
-    pub luby_restarts: bool,
-    /// Run solver inprocessing (vivification + subsumption at restart
-    /// boundaries). Timing-only: verdicts are identical either way.
-    pub inprocessing: bool,
 }
 
 impl Default for SatRedundancyOptions {
@@ -86,8 +80,6 @@ impl Default for SatRedundancyOptions {
             prefilter_rounds: engine.prefilter_rounds,
             prefilter_max_rounds: engine.prefilter_max_rounds,
             cex_bank_capacity: engine.cex_bank_capacity,
-            luby_restarts: false,
-            inprocessing: true,
         }
     }
 }
@@ -238,14 +230,6 @@ pub struct SatPassStats {
     pub solver_ema_forced: u64,
     /// Pending EMA restarts suppressed by a deep trail.
     pub solver_ema_blocked: u64,
-    /// Learnt clauses shrunk or deleted by vivification.
-    pub solver_vivified_clauses: u64,
-    /// Literals removed from clauses by vivification.
-    pub solver_vivified_lits: u64,
-    /// Clauses deleted by forward subsumption.
-    pub solver_subsumed: u64,
-    /// Literals removed by self-subsuming resolution.
-    pub solver_strengthened: u64,
     /// Conflicts resolved by a chronological (one-level) backtrack.
     pub solver_chrono_backjumps: u64,
     /// Learnt clauses promoted into a better tier by on-the-fly LBD
@@ -263,7 +247,7 @@ impl SatPassStats {
     /// one format string instead of three.
     pub fn solver_summary(&self) -> String {
         format!(
-            "{} conflicts, {} propagations, {} learnts ({} core, {} promoted), {} reduces, {} arena-gcs, {} restarts forced/{} blocked, {} chrono, viv {}c/{}l, sub {}/str {}, {} rephases (best {}/inv {}/orig {}), {} resets",
+            "{} conflicts, {} propagations, {} learnts ({} core, {} promoted), {} reduces, {} arena-gcs, {} restarts forced/{} blocked, {} chrono, {} rephases (best {}/inv {}/orig {}), {} resets",
             self.solver_conflicts,
             self.solver_propagations,
             self.solver_learnts,
@@ -274,10 +258,6 @@ impl SatPassStats {
             self.solver_ema_forced,
             self.solver_ema_blocked,
             self.solver_chrono_backjumps,
-            self.solver_vivified_clauses,
-            self.solver_vivified_lits,
-            self.solver_subsumed,
-            self.solver_strengthened,
             self.solver_rephases,
             self.solver_rephase_best,
             self.solver_rephase_inverted,
@@ -325,10 +305,6 @@ impl SatPassStats {
         self.solver_deadline_checks += o.solver_deadline_checks;
         self.solver_ema_forced += o.solver_ema_forced;
         self.solver_ema_blocked += o.solver_ema_blocked;
-        self.solver_vivified_clauses += o.solver_vivified_clauses;
-        self.solver_vivified_lits += o.solver_vivified_lits;
-        self.solver_subsumed += o.solver_subsumed;
-        self.solver_strengthened += o.solver_strengthened;
         self.solver_chrono_backjumps += o.solver_chrono_backjumps;
         self.solver_promoted += o.solver_promoted;
         self.profile.absorb(&o.profile);
@@ -424,8 +400,6 @@ pub fn sat_redundancy_with(
         sim_threshold: options.sim_threshold,
         sat_threshold: options.sat_threshold,
         conflict_budget: options.conflict_budget,
-        luby_restarts: options.luby_restarts,
-        inprocessing: options.inprocessing,
     };
     // the stateful query funnel (one per sweep; the netlist is immutable
     // until the pins are applied at the end), seeded from the context's
@@ -688,10 +662,6 @@ pub fn sat_redundancy_with(
         stats.solver_deadline_checks = es.solver.deadline_checks;
         stats.solver_ema_forced = es.solver.ema_forced;
         stats.solver_ema_blocked = es.solver.ema_blocked;
-        stats.solver_vivified_clauses = es.solver.vivified_clauses;
-        stats.solver_vivified_lits = es.solver.vivified_lits;
-        stats.solver_subsumed = es.solver.subsumed;
-        stats.solver_strengthened = es.solver.strengthened;
         stats.solver_chrono_backjumps = es.solver.chrono_backjumps;
         stats.solver_promoted = es.solver.promoted;
         stats.profile = es.profile;

@@ -7,8 +7,8 @@ use crate::json::Json;
 use crate::persist::{KbReport, KnowledgeState};
 use crate::report::{funnel_counters, funnel_hist_json, Verbosity};
 use crate::DriverError;
-use smartly_core::sat_pass::{SatPassStats, SatRedundancyOptions};
-use smartly_core::{OptLevel, Pipeline};
+use smartly_core::sat_pass::SatPassStats;
+use smartly_core::OptLevel;
 use smartly_netlist::Design;
 use smartly_telemetry::Trace;
 use smartly_workloads::{public_corpus, Scale};
@@ -45,14 +45,6 @@ pub struct CorpusOptions {
     /// [`CorpusReport::traces`] (one merged trace per run, named after
     /// it). Purely observational; the digest artifact is unaffected.
     pub trace: bool,
-    /// Run the CDCL solver on its fixed Luby restart schedule instead of
-    /// the EMA-adaptive controller (ablation baseline; verdicts and the
-    /// digest are identical either way).
-    pub luby_restarts: bool,
-    /// Solver inprocessing (vivification + subsumption at restart
-    /// boundaries). On by default; off is the ablation baseline, with a
-    /// byte-identical digest.
-    pub inprocessing: bool,
 }
 
 impl Default for CorpusOptions {
@@ -65,23 +57,7 @@ impl Default for CorpusOptions {
             share_knowledge: true,
             knowledge_state: None,
             trace: false,
-            luby_restarts: false,
-            inprocessing: true,
         }
-    }
-}
-
-/// The solver-knob slice of a [`CorpusOptions`] as a pipeline override,
-/// shared by the level runs and both benches so every solve in a corpus
-/// run sees the same restart/inprocessing configuration.
-fn solver_pipeline(opts: &CorpusOptions) -> Pipeline {
-    Pipeline {
-        sat: SatRedundancyOptions {
-            luby_restarts: opts.luby_restarts,
-            inprocessing: opts.inprocessing,
-            ..Default::default()
-        },
-        ..Default::default()
     }
 }
 
@@ -251,7 +227,6 @@ pub fn run_public_corpus(opts: &CorpusOptions) -> Result<CorpusReport, DriverErr
             trace: opts.trace,
             // circuits are all distinct; skip the hashing pass
             memoize: false,
-            pipeline: solver_pipeline(opts),
             ..Default::default()
         };
         let mut report = optimize_design(&mut design, &driver_opts)?;
@@ -309,7 +284,6 @@ fn run_knowledge_bench(
         share_knowledge: opts.share_knowledge,
         knowledge_state: opts.knowledge_state.clone(),
         trace: opts.trace,
-        pipeline: solver_pipeline(opts),
         ..Default::default()
     };
     let started = std::time::Instant::now();
@@ -364,7 +338,6 @@ fn run_solver_bench(
         share_knowledge: opts.share_knowledge,
         knowledge_state: opts.knowledge_state.clone(),
         trace: opts.trace,
-        pipeline: solver_pipeline(opts),
         ..Default::default()
     };
     let started = std::time::Instant::now();

@@ -478,10 +478,6 @@ pub(crate) fn solver_counters(s: &SatPassStats) -> Counters {
         .add("deadline_checks", s.solver_deadline_checks)
         .add("ema_forced", s.solver_ema_forced)
         .add("ema_blocked", s.solver_ema_blocked)
-        .add("vivified_clauses", s.solver_vivified_clauses)
-        .add("vivified_lits", s.solver_vivified_lits)
-        .add("subsumed", s.solver_subsumed)
-        .add("strengthened", s.solver_strengthened)
         .add("chrono_backjumps", s.solver_chrono_backjumps)
         .add("promoted", s.solver_promoted);
     c

@@ -192,10 +192,6 @@ fn module_timing_json_schema_snapshot() {
             "deadline_checks",
             "ema_forced",
             "ema_blocked",
-            "vivified_clauses",
-            "vivified_lits",
-            "subsumed",
-            "strengthened",
             "chrono_backjumps",
             "promoted",
             "rephase_kind",

@@ -19,13 +19,10 @@
 //! * best-phase saving plus **aspiration rephasing** (a CaDiCaL-style
 //!   best/inverted/original schedule at restarts),
 //! * **EMA-adaptive restarts** (Glucose-style fast/slow LBD averages
-//!   force restarts, a trail-depth average blocks them; the fixed Luby
-//!   schedule survives behind [`RestartMode::Luby`] for ablation) with
+//!   force restarts, a trail-depth average blocks them) with
 //!   chronological backtracking on very long backjumps,
-//! * **inprocessing at restart boundaries**: bounded vivification of
-//!   tier2 learnts plus forward subsumption / self-subsuming resolution
-//!   over a signature-indexed occurrence sweep, with on-the-fly LBD
-//!   recomputation promoting improving clauses into better tiers,
+//! * on-the-fly LBD recomputation during conflict analysis, promoting
+//!   improving learnt clauses into better tiers,
 //! * solving under assumptions and an optional conflict budget (the paper
 //!   bounds SAT effort with a threshold; [`Solver::set_conflict_budget`]
 //!   is the hook for that),
@@ -75,9 +72,7 @@ pub mod tseitin;
 pub use codec::{fnv64, ByteReader, ByteWriter, CodecError};
 pub use deadline::Deadline;
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsProblem, ParseDimacsError};
-pub use solver::{
-    RestartMode, SolveResult, Solver, SolverStats, DEADLINE_CHECK_INTERVAL, INPROCESS_INTERVAL,
-};
+pub use solver::{SolveResult, Solver, SolverStats, DEADLINE_CHECK_INTERVAL};
 pub use tseitin::TseitinEncoder;
 
 use std::fmt;

@@ -24,32 +24,18 @@
 //!
 //! # Restart control
 //!
-//! The default restart policy is Glucose-style adaptive control
-//! ([`RestartMode::Ema`]): fast and slow exponential moving averages of
-//! learnt-clause LBD *force* a restart when recent conflicts are much
-//! worse than the long-run average (`ema_forced`), and a trail-depth
-//! EMA *blocks* a pending restart while the solver is assigning far
-//! more variables than usual — it is probably closing in on a model
-//! (`ema_blocked`). The fixed Luby schedule survives behind
-//! [`RestartMode::Luby`] as the ablation baseline. Conflict analysis
-//! additionally backtracks *chronologically* (one level) instead of
-//! jumping to the assertion level when the jump would discard a large
-//! stretch of trail (`chrono_backjumps`, CaDiCaL's `C` heuristic).
-//!
-//! # Inprocessing
-//!
-//! At restart boundaries (every [`INPROCESS_INTERVAL`] conflicts, while
-//! enabled via [`Solver::set_inprocessing`]) the solver runs bounded
-//! clause-hygiene passes over the arena: **vivification** re-propagates
-//! tier2 learnts literal by literal under the current level-0 state and
-//! shrinks or deletes them (`vivified_clauses` / `vivified_lits`), and a
-//! signature-indexed occurrence sweep applies **forward subsumption**
-//! (`subsumed`) and **self-subsuming resolution** (`strengthened`).
-//! Both passes carry work budgets and poll the cooperative [`Deadline`]
-//! so they stay incremental and interruptible. On top of that, conflict
-//! analysis recomputes the LBD of every learnt clause it resolves with
-//! and *promotes* improving clauses into better tiers (`promoted`), so
-//! good learnts migrate into core instead of only decaying outward.
+//! Restarts are Glucose-style adaptive: fast and slow exponential
+//! moving averages of learnt-clause LBD *force* a restart when recent
+//! conflicts are much worse than the long-run average (`ema_forced`),
+//! and a trail-depth EMA *blocks* a pending restart while the solver is
+//! assigning far more variables than usual — it is probably closing in
+//! on a model (`ema_blocked`). Conflict analysis additionally backtracks
+//! *chronologically* (one level) instead of jumping to the assertion
+//! level when the jump would discard a large stretch of trail
+//! (`chrono_backjumps`, CaDiCaL's `C` heuristic), and recomputes the
+//! LBD of every learnt clause it resolves with, *promoting* improving
+//! clauses into better tiers (`promoted`), so good learnts migrate into
+//! core instead of only decaying outward.
 //!
 //! # Rephasing
 //!
@@ -62,20 +48,6 @@
 use crate::deadline::Deadline;
 use crate::heap::ActivityHeap;
 use crate::{Lit, Var};
-
-/// Restart policy of the search loop; see the [module docs](self).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum RestartMode {
-    /// Glucose-style adaptive control: fast/slow EMAs of learnt-clause
-    /// LBD force restarts when recent conflicts are much worse than the
-    /// long-run average, and a trail-depth EMA blocks them while the
-    /// solver looks close to a model. The default.
-    #[default]
-    Ema,
-    /// The fixed Luby schedule (the pre-EMA baseline, kept for
-    /// ablation runs).
-    Luby,
-}
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -116,24 +88,15 @@ pub struct SolverStats {
     /// Compacting arena garbage collections performed.
     pub arena_gcs: u64,
     /// Cooperative-deadline polls performed inside `search` (one per
-    /// [`DEADLINE_CHECK_INTERVAL`] conflicts while a deadline is set)
-    /// and inside the inprocessing passes; `checks × interval` bounds
-    /// how many conflicts a stuck solve ran past its deadline — the
-    /// interruption latency.
+    /// [`DEADLINE_CHECK_INTERVAL`] conflicts while a deadline is set);
+    /// `checks × interval` bounds how many conflicts a stuck solve ran
+    /// past its deadline — the interruption latency.
     pub deadline_checks: u64,
     /// Restarts forced by the EMA controller (fast LBD ≫ slow LBD).
     pub ema_forced: u64,
     /// Pending EMA restarts suppressed by a deep trail (the blocking
     /// heuristic: the solver looked close to a model).
     pub ema_blocked: u64,
-    /// Learnt clauses shrunk or deleted by vivification.
-    pub vivified_clauses: u64,
-    /// Literals removed from clauses by vivification.
-    pub vivified_lits: u64,
-    /// Clauses deleted because another clause subsumes them.
-    pub subsumed: u64,
-    /// Literals removed by self-subsuming resolution.
-    pub strengthened: u64,
     /// Conflicts resolved by a chronological (one-level) backtrack
     /// instead of a long backjump to the assertion level.
     pub chrono_backjumps: u64,
@@ -164,10 +127,6 @@ impl SolverStats {
         self.deadline_checks += o.deadline_checks;
         self.ema_forced += o.ema_forced;
         self.ema_blocked += o.ema_blocked;
-        self.vivified_clauses += o.vivified_clauses;
-        self.vivified_lits += o.vivified_lits;
-        self.subsumed += o.subsumed;
-        self.strengthened += o.strengthened;
         self.chrono_backjumps += o.chrono_backjumps;
         self.promoted += o.promoted;
     }
@@ -193,10 +152,6 @@ impl SolverStats {
             deadline_checks: self.deadline_checks.saturating_sub(base.deadline_checks),
             ema_forced: self.ema_forced.saturating_sub(base.ema_forced),
             ema_blocked: self.ema_blocked.saturating_sub(base.ema_blocked),
-            vivified_clauses: self.vivified_clauses.saturating_sub(base.vivified_clauses),
-            vivified_lits: self.vivified_lits.saturating_sub(base.vivified_lits),
-            subsumed: self.subsumed.saturating_sub(base.subsumed),
-            strengthened: self.strengthened.saturating_sub(base.strengthened),
             chrono_backjumps: self.chrono_backjumps.saturating_sub(base.chrono_backjumps),
             promoted: self.promoted.saturating_sub(base.promoted),
         }
@@ -322,10 +277,6 @@ pub struct Solver {
     /// Live core-tier learnt clauses (kept forever, not reducible).
     num_core: usize,
     max_learnts: f64,
-    /// Restart policy (EMA-adaptive by default, Luby for ablation).
-    restart_mode: RestartMode,
-    /// Whether inprocessing runs at restart boundaries.
-    inprocessing: bool,
     /// Fast (recent-window) EMA of learnt-clause LBD.
     ema_lbd_fast: f64,
     /// Slow (long-run) EMA of learnt-clause LBD.
@@ -337,33 +288,15 @@ pub struct Solver {
     /// slow average behaves like Glucose's global mean early on instead
     /// of anchoring at whatever the first conflict's LBD happened to be.
     ema_samples: u64,
-    /// Total-conflict threshold past which the next restart boundary
-    /// runs an inprocessing pass.
-    next_inprocess: u64,
-    /// Conflicts between inprocessing passes; starts at
-    /// [`INPROCESS_INTERVAL`] and doubles after each pass (capped), so
-    /// hygiene cost amortizes: short solves pay for at most one cheap
-    /// early pass, long solves sweep repeatedly but ever more rarely.
-    inprocess_interval: u64,
-    /// Rotating start index into the vivification candidate list, so
-    /// successive bounded passes cover different clauses.
-    vivify_cursor: u32,
 }
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const CLA_DECAY: f64 = 1.0 / 0.999;
-const RESTART_FIRST: u64 = 100;
 /// Conflicts between cooperative [`Deadline`] polls inside `search`.
 /// Small enough that interruption latency is a handful of conflicts,
 /// large enough that an `Instant::now()` every interval is noise next to
 /// the propagations those conflicts cost.
 pub const DEADLINE_CHECK_INTERVAL: u64 = 16;
-/// Conflicts before the *first* inprocessing pass (vivification + the
-/// subsumption sweep), applied at the first restart boundary past the
-/// threshold while enabled via [`Solver::set_inprocessing`]. The
-/// interval doubles after every pass (capped at 64×), so hygiene cost
-/// amortizes instead of growing linearly with solve length.
-pub const INPROCESS_INTERVAL: u64 = 500;
 /// Smoothing factor of the fast (recent-window) learnt-LBD average.
 const EMA_FAST_ALPHA: f64 = 1.0 / 32.0;
 /// Smoothing factor of the slow (long-run) learnt-LBD average.
@@ -372,7 +305,7 @@ const EMA_SLOW_ALPHA: f64 = 1.0 / 8192.0;
 /// much faster than the slow LBD average: incremental solving shifts
 /// the trail scale whenever the active instance changes, and a stale
 /// depth average would block every pending restart (starving
-/// inprocessing and rephasing, which only run at restart boundaries).
+/// rephasing, which only runs at restart boundaries).
 const EMA_TRAIL_ALPHA: f64 = 1.0 / 256.0;
 /// Force a restart once the fast LBD average exceeds the slow one by
 /// this factor: recent learnt clauses are much worse than the long-run
@@ -392,17 +325,6 @@ const EMA_BLOCK_WARMUP: u64 = 100;
 /// backtracks chronologically (one level) instead, preserving the
 /// still-plausibly-useful trail segment below the conflict.
 const CHRONO_BACKTRACK_GAP: usize = 500;
-/// Vivification probes only clauses of this size or smaller: long
-/// clauses cost a propagation per literal and almost never shrink.
-const VIVIFY_MAX_SIZE: usize = 32;
-/// Clauses vivified per inprocessing pass (a rotating cursor spreads
-/// coverage across passes).
-const VIVIFY_CLAUSE_BUDGET: usize = 128;
-/// Literal comparisons per subsumption sweep.
-const SUBSUME_LIT_BUDGET: usize = 200_000;
-/// Work items between cooperative deadline polls inside the
-/// inprocessing passes.
-const INPROCESS_POLL_INTERVAL: usize = 16;
 /// The aspiration-rephasing schedule walked at restarts (CaDiCaL-style:
 /// best phases dominate, with periodic excursions to their inversion and
 /// the original defaults).
@@ -463,15 +385,10 @@ impl Solver {
             num_learnts: 0,
             num_core: 0,
             max_learnts: 0.0,
-            restart_mode: RestartMode::Ema,
-            inprocessing: true,
             ema_lbd_fast: 0.0,
             ema_lbd_slow: 0.0,
             ema_trail: 0.0,
             ema_samples: 0,
-            next_inprocess: INPROCESS_INTERVAL,
-            inprocess_interval: INPROCESS_INTERVAL,
-            vivify_cursor: 0,
         }
     }
 
@@ -518,19 +435,6 @@ impl Solver {
     /// exhaustion. [`Deadline::none`] removes the deadline.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         self.deadline = deadline;
-    }
-
-    /// Selects the restart policy ([`RestartMode::Ema`] by default).
-    pub fn set_restart_mode(&mut self, mode: RestartMode) {
-        self.restart_mode = mode;
-    }
-
-    /// Enables or disables inprocessing (vivification + subsumption at
-    /// restart boundaries). On by default; both settings only change
-    /// how fast answers arrive, never which answers — verdicts are
-    /// identical either way.
-    pub fn set_inprocessing(&mut self, on: bool) {
-        self.inprocessing = on;
     }
 
     fn value_var(&self, v: Var) -> LBool {
@@ -1180,346 +1084,6 @@ impl Solver {
         }
     }
 
-    /// Decrements the live-population counter for `cref`'s class. Must
-    /// run before [`Solver::free_clause`] flips the deleted bit.
-    fn count_removed(&mut self, cref: u32) {
-        let h = self.arena[cref as usize];
-        debug_assert_eq!(h & DELETED_BIT, 0);
-        if h & LEARNT_BIT == 0 {
-            self.num_originals -= 1;
-        } else if (h >> TIER_SHIFT) & TIER_MASK == TIER_CORE {
-            self.num_core -= 1;
-        } else {
-            self.num_learnts -= 1;
-        }
-    }
-
-    /// Detaches and frees a live clause, keeping the population
-    /// counters consistent (unlike `reduce_db`, which batches its own
-    /// accounting).
-    fn remove_clause(&mut self, cref: u32) {
-        self.detach_clause(cref);
-        self.count_removed(cref);
-        self.free_clause(cref);
-    }
-
-    /// Converts a learnt clause into an irredundant (original-status)
-    /// one: once a learnt subsumes an original, the original's
-    /// constraint survives only through the learnt, which must
-    /// therefore never be reduced away.
-    fn make_irredundant(&mut self, cref: u32) {
-        let h = self.arena[cref as usize];
-        if h & LEARNT_BIT == 0 {
-            return;
-        }
-        if (h >> TIER_SHIFT) & TIER_MASK == TIER_CORE {
-            self.num_core -= 1;
-        } else {
-            self.num_learnts -= 1;
-        }
-        self.num_originals += 1;
-        // TIER_CORE is 0: clearing the tier bits tags it core
-        self.arena[cref as usize] = h & !LEARNT_BIT & !(TIER_MASK << TIER_SHIFT);
-    }
-
-    // -- inprocessing ---------------------------------------------------
-
-    /// One bounded clause-hygiene step at a restart boundary (decision
-    /// level 0): vivification, then the subsumption sweep, then a GC if
-    /// the passes left enough garbage behind. Returns `true` when the
-    /// cooperative deadline expired mid-pass — the caller degrades to
-    /// [`SolveResult::Unknown`], same as an in-search expiry.
-    fn inprocess(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        if self.vivify_pass() {
-            return true;
-        }
-        if self.ok && self.subsume_pass() {
-            return true;
-        }
-        if self.garbage * 4 > self.arena.len() {
-            self.garbage_collect();
-        }
-        false
-    }
-
-    /// Polls the deadline from inside an inprocessing pass; returns
-    /// `true` on expiry.
-    fn inprocess_deadline_expired(&mut self) -> bool {
-        if self.deadline.is_none() {
-            return false;
-        }
-        self.stats.deadline_checks += 1;
-        self.deadline.expired()
-    }
-
-    /// Bounded vivification of tier2 learnts: each candidate is
-    /// detached, its literals' negations are propagated one by one on a
-    /// probe level, and any implied/contradicted suffix is dropped. The
-    /// shrunk clause is entailed by the *rest* of the formula (the
-    /// candidate itself cannot participate while detached), so the
-    /// replacement is sound. Returns `true` if the deadline expired.
-    fn vivify_pass(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut off = 0usize;
-        while off < self.arena.len() {
-            let h = self.arena[off];
-            let size = (h & SIZE_MASK) as usize;
-            if h & LEARNT_BIT != 0
-                && h & DELETED_BIT == 0
-                && (h >> TIER_SHIFT) & TIER_MASK == TIER_TIER2
-                && (3..=VIVIFY_MAX_SIZE).contains(&size)
-            {
-                cands.push(off as u32);
-            }
-            off += HEADER_WORDS + size;
-        }
-        if cands.is_empty() {
-            return false;
-        }
-        let start = (self.vivify_cursor as usize) % cands.len();
-        let take = cands.len().min(VIVIFY_CLAUSE_BUDGET);
-        self.vivify_cursor = self.vivify_cursor.wrapping_add(take as u32);
-        for i in 0..take {
-            if i % INPROCESS_POLL_INTERVAL == 0 && self.inprocess_deadline_expired() {
-                return true;
-            }
-            if !self.ok {
-                return false;
-            }
-            let cref = cands[(start + i) % cands.len()];
-            // a unit-shrink earlier in this pass may have propagated at
-            // level 0, deleting, satisfying, or locking later candidates
-            if self.clause_is_deleted(cref) || self.is_locked(cref) {
-                continue;
-            }
-            self.vivify_one(cref);
-        }
-        false
-    }
-
-    /// Probes a single clause; see [`Solver::vivify_pass`].
-    fn vivify_one(&mut self, cref: u32) {
-        let size = self.clause_size(cref);
-        let lits: Vec<Lit> = (0..size).map(|i| self.clause_lit(cref, i)).collect();
-        let old_lbd = (self.arena[cref as usize] >> LBD_SHIFT) & LBD_MAX;
-        // level-0 satisfied clause: permanently true, drop it outright
-        if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
-            self.remove_clause(cref);
-            self.stats.vivified_clauses += 1;
-            self.stats.vivified_lits += size as u64;
-            return;
-        }
-        self.detach_clause(cref);
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-        self.trail_lim.push(self.trail.len()); // open the probe level
-        for &l in &lits {
-            match self.value_lit(l) {
-                LBool::True => {
-                    // ¬kept ⊨ l: the clause shrinks to kept ∨ l
-                    kept.push(l);
-                    break;
-                }
-                LBool::False => {
-                    // ¬kept ⊨ ¬l: l is redundant, drop it
-                }
-                LBool::Undef => {
-                    kept.push(l);
-                    self.unchecked_enqueue(!l, None);
-                    if self.propagate().is_some() {
-                        // ¬kept is contradictory: kept alone is implied
-                        break;
-                    }
-                }
-            }
-        }
-        self.cancel_until(0);
-        if kept.len() == lits.len() {
-            // unchanged: reattach the original watchers
-            self.watches[lits[0].code()].push(Watcher {
-                cref,
-                blocker: lits[1],
-            });
-            self.watches[lits[1].code()].push(Watcher {
-                cref,
-                blocker: lits[0],
-            });
-            return;
-        }
-        self.stats.vivified_clauses += 1;
-        self.stats.vivified_lits += (lits.len() - kept.len()) as u64;
-        self.count_removed(cref);
-        self.free_clause(cref);
-        match kept.len() {
-            0 => self.ok = false,
-            1 => match self.value_lit(kept[0]) {
-                LBool::False => self.ok = false,
-                LBool::True => {}
-                LBool::Undef => {
-                    self.unchecked_enqueue(kept[0], None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                    }
-                }
-            },
-            n => {
-                let lbd = old_lbd.min(n as u32 - 1).max(1);
-                self.attach_clause(&kept, true, lbd);
-            }
-        }
-    }
-
-    /// Forward subsumption + self-subsuming resolution over a
-    /// signature-indexed occurrence sweep: clauses are visited in
-    /// ascending size order, candidate subsumees come from the
-    /// occurrence list of the subsumer's rarest variable, and a 64-bit
-    /// variable signature filters most pairs before any literals are
-    /// compared. A ⊆ B deletes B (`subsumed`); A matching B except one
-    /// negated literal resolves that literal out of B (`strengthened`).
-    /// Returns `true` if the deadline expired.
-    fn subsume_pass(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        // (cref, size, var signature) of every live clause
-        let mut clauses: Vec<(u32, u32, u64)> = Vec::new();
-        let mut off = 0usize;
-        while off < self.arena.len() {
-            let h = self.arena[off];
-            let size = (h & SIZE_MASK) as usize;
-            if h & DELETED_BIT == 0 && size >= 2 {
-                let mut sig = 0u64;
-                for k in 0..size {
-                    sig |= 1u64 << (Lit(self.arena[off + HEADER_WORDS + k]).var().0 % 64);
-                }
-                clauses.push((off as u32, size as u32, sig));
-            }
-            off += HEADER_WORDS + size;
-        }
-        clauses.sort_by_key(|&(cref, size, _)| (size, cref));
-        // occurrence lists by variable (indices into `clauses`)
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
-        for (idx, &(cref, size, _)) in clauses.iter().enumerate() {
-            for k in 0..size as usize {
-                occ[self.clause_lit(cref, k).var().index()].push(idx as u32);
-            }
-        }
-        // literal-marking scratch: code → stamp
-        let mut marked: Vec<u32> = vec![0; self.num_vars() * 2];
-        let mut stamp = 0u32;
-        let mut budget = SUBSUME_LIT_BUDGET as isize;
-        for (a_pos, &(a_cref, a_size, a_sig)) in clauses.iter().enumerate() {
-            if budget <= 0 {
-                break;
-            }
-            if a_pos % INPROCESS_POLL_INTERVAL == 0 && self.inprocess_deadline_expired() {
-                return true;
-            }
-            if !self.ok {
-                return false;
-            }
-            if self.clause_is_deleted(a_cref) {
-                continue;
-            }
-            let a_size = a_size as usize;
-            stamp += 1;
-            let mut min_var = 0usize;
-            let mut min_occ = usize::MAX;
-            for k in 0..a_size {
-                let l = self.clause_lit(a_cref, k);
-                marked[l.code()] = stamp;
-                let v = l.var().index();
-                if occ[v].len() < min_occ {
-                    min_occ = occ[v].len();
-                    min_var = v;
-                }
-            }
-            // borrow dance: the occurrence list is indices, so clone-free
-            // iteration needs it split from `self` — take it out briefly
-            let cand = std::mem::take(&mut occ[min_var]);
-            for &b_idx in &cand {
-                let (b_cref, b_size, b_sig) = clauses[b_idx as usize];
-                if b_cref == a_cref
-                    || (b_size as usize) < a_size
-                    || a_sig & !b_sig != 0
-                    || self.clause_is_deleted(b_cref)
-                {
-                    continue;
-                }
-                budget -= b_size as isize;
-                // count literals of B that A contains, and the (at most
-                // one tolerated) literal whose negation A contains
-                let mut hits = 0usize;
-                let mut neg_hits = 0usize;
-                let mut neg_lit = Lit(0);
-                for k in 0..b_size as usize {
-                    let bl = self.clause_lit(b_cref, k);
-                    if marked[bl.code()] == stamp {
-                        hits += 1;
-                    } else if marked[(!bl).code()] == stamp {
-                        neg_hits += 1;
-                        neg_lit = bl;
-                        if neg_hits > 1 {
-                            break;
-                        }
-                    }
-                }
-                if hits == a_size && !self.is_locked(b_cref) {
-                    // A ⊆ B: B is redundant. If B is irredundant, its
-                    // constraint must survive in A forever.
-                    if !self.clause_is_learnt(b_cref) {
-                        self.make_irredundant(a_cref);
-                    }
-                    self.remove_clause(b_cref);
-                    self.stats.subsumed += 1;
-                } else if hits == a_size - 1 && neg_hits == 1 && !self.is_locked(b_cref) {
-                    // self-subsuming resolution: resolving A and B on
-                    // `neg_lit` yields B \ {neg_lit}, which subsumes B
-                    self.strengthen_clause(b_cref, neg_lit);
-                    if !self.ok {
-                        break;
-                    }
-                }
-            }
-            occ[min_var] = cand;
-        }
-        false
-    }
-
-    /// Replaces `cref` by the same clause with `drop` removed (the
-    /// strengthened clause is entailed by the formula, so it survives
-    /// any later deletion of the clause that justified the resolution).
-    fn strengthen_clause(&mut self, cref: u32, drop: Lit) {
-        let size = self.clause_size(cref);
-        let learnt = self.clause_is_learnt(cref);
-        let old_lbd = (self.arena[cref as usize] >> LBD_SHIFT) & LBD_MAX;
-        let kept: Vec<Lit> = (0..size)
-            .map(|i| self.clause_lit(cref, i))
-            .filter(|&l| l != drop)
-            .collect();
-        debug_assert_eq!(kept.len(), size - 1);
-        self.remove_clause(cref);
-        self.stats.strengthened += 1;
-        if kept.len() == 1 {
-            match self.value_lit(kept[0]) {
-                LBool::False => self.ok = false,
-                LBool::True => {}
-                LBool::Undef => {
-                    self.unchecked_enqueue(kept[0], None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                    }
-                }
-            }
-        } else {
-            let lbd = if learnt {
-                old_lbd.min(kept.len() as u32 - 1).max(1)
-            } else {
-                0
-            };
-            self.attach_clause(&kept, learnt, lbd);
-        }
-    }
-
     /// Applies the next step of the aspiration-rephasing schedule at a
     /// restart boundary. `Best` restores the deepest-trail snapshot (a
     /// no-op while no snapshot exists), `Inverted` installs its
@@ -1584,14 +1148,11 @@ impl Solver {
         // previous call's final phases in, and restarts inside this call
         // rephase toward this call's own deepest trail
         self.best_trail = 0;
-        let mut restarts = 0u64;
         let result = loop {
-            let limit = RESTART_FIRST * luby(restarts);
-            match self.search(limit, assumptions, budget_start) {
+            match self.search(assumptions, budget_start) {
                 SearchOutcome::Sat => break SolveResult::Sat,
                 SearchOutcome::Unsat => break SolveResult::Unsat,
                 SearchOutcome::Restart => {
-                    restarts += 1;
                     self.stats.restarts += 1;
                     self.max_learnts *= 1.05;
                     self.aspiration_rephase();
@@ -1599,18 +1160,6 @@ impl Solver {
                     // to the long-run average so the next window
                     // measures only fresh conflicts
                     self.ema_lbd_fast = self.ema_lbd_slow;
-                    if self.inprocessing && self.stats.conflicts >= self.next_inprocess {
-                        self.next_inprocess = self.stats.conflicts + self.inprocess_interval;
-                        self.inprocess_interval =
-                            (self.inprocess_interval * 2).min(INPROCESS_INTERVAL * 64);
-                        let expired = self.inprocess();
-                        if !self.ok {
-                            break SolveResult::Unsat;
-                        }
-                        if expired {
-                            break SolveResult::Unknown;
-                        }
-                    }
                 }
                 SearchOutcome::BudgetExhausted => break SolveResult::Unknown,
             }
@@ -1622,12 +1171,7 @@ impl Solver {
         result
     }
 
-    fn search(
-        &mut self,
-        conflict_limit: u64,
-        assumptions: &[Lit],
-        budget_start: u64,
-    ) -> SearchOutcome {
+    fn search(&mut self, assumptions: &[Lit], budget_start: u64) -> SearchOutcome {
         let mut conflicts_here = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -1674,28 +1218,26 @@ impl Solver {
                 // fast/slow LBD averages and the trail-depth average;
                 // a run of bad (high-LBD) conflicts forces a restart
                 // unless an unusually deep trail blocks it.
+                let (lbd_f, depth_f) = (lbd as f64, depth as f64);
+                self.ema_samples += 1;
+                let inv_n = 1.0 / self.ema_samples as f64;
+                self.ema_lbd_fast += EMA_FAST_ALPHA.max(inv_n) * (lbd_f - self.ema_lbd_fast);
+                self.ema_lbd_slow += EMA_SLOW_ALPHA.max(inv_n) * (lbd_f - self.ema_lbd_slow);
+                self.ema_trail += EMA_TRAIL_ALPHA.max(inv_n) * (depth_f - self.ema_trail);
                 let mut force_restart = false;
-                if self.restart_mode == RestartMode::Ema {
-                    let (lbd_f, depth_f) = (lbd as f64, depth as f64);
-                    self.ema_samples += 1;
-                    let inv_n = 1.0 / self.ema_samples as f64;
-                    self.ema_lbd_fast += EMA_FAST_ALPHA.max(inv_n) * (lbd_f - self.ema_lbd_fast);
-                    self.ema_lbd_slow += EMA_SLOW_ALPHA.max(inv_n) * (lbd_f - self.ema_lbd_slow);
-                    self.ema_trail += EMA_TRAIL_ALPHA.max(inv_n) * (depth_f - self.ema_trail);
-                    if conflicts_here >= EMA_MIN_CONFLICTS
-                        && self.ema_lbd_fast > self.ema_lbd_slow * EMA_FORCE_RATIO
+                if conflicts_here >= EMA_MIN_CONFLICTS
+                    && self.ema_lbd_fast > self.ema_lbd_slow * EMA_FORCE_RATIO
+                {
+                    if self.stats.conflicts > EMA_BLOCK_WARMUP
+                        && depth_f > self.ema_trail * EMA_BLOCK_RATIO
                     {
-                        if self.stats.conflicts > EMA_BLOCK_WARMUP
-                            && depth_f > self.ema_trail * EMA_BLOCK_RATIO
-                        {
-                            self.stats.ema_blocked += 1;
-                            // swallow the pending restart: re-anchor the
-                            // fast average so the epoch starts over
-                            self.ema_lbd_fast = self.ema_lbd_slow;
-                        } else {
-                            self.stats.ema_forced += 1;
-                            force_restart = true;
-                        }
+                        self.stats.ema_blocked += 1;
+                        // swallow the pending restart: re-anchor the
+                        // fast average so the epoch starts over
+                        self.ema_lbd_fast = self.ema_lbd_slow;
+                    } else {
+                        self.stats.ema_forced += 1;
+                        force_restart = true;
                     }
                 }
                 // chronological backtracking: when the assertion level
@@ -1738,11 +1280,7 @@ impl Solver {
                         return SearchOutcome::BudgetExhausted;
                     }
                 }
-                let restart_now = match self.restart_mode {
-                    RestartMode::Luby => conflicts_here >= conflict_limit,
-                    RestartMode::Ema => force_restart,
-                };
-                if restart_now {
+                if force_restart {
                     self.cancel_until(0);
                     return SearchOutcome::Restart;
                 }
@@ -1836,23 +1374,6 @@ enum SearchOutcome {
     BudgetExhausted,
 }
 
-/// The Luby restart sequence (1,1,2,1,1,2,4,...).
-fn luby(mut i: u64) -> u64 {
-    // find the finite subsequence containing index i
-    let mut size = 1u64;
-    let mut seq = 0u32;
-    while size < i + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != i {
-        size = (size - 1) / 2;
-        seq -= 1;
-        i %= size;
-    }
-    1u64 << seq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1888,14 +1409,6 @@ mod tests {
                     cnf(s, &[&[-var(i1, j), -var(i2, j)]]);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn luby_sequence() {
-        let expect = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(luby(i as u64), e, "luby({i})");
         }
     }
 
@@ -2058,10 +1571,6 @@ mod tests {
             deadline_checks: 10,
             ema_forced: 11,
             ema_blocked: 12,
-            vivified_clauses: 13,
-            vivified_lits: 14,
-            subsumed: 15,
-            strengthened: 16,
             chrono_backjumps: 17,
             promoted: 18,
         };
@@ -2078,10 +1587,6 @@ mod tests {
         assert_eq!(a.deadline_checks, 20);
         assert_eq!(a.ema_forced, 22);
         assert_eq!(a.ema_blocked, 24);
-        assert_eq!(a.vivified_clauses, 26);
-        assert_eq!(a.vivified_lits, 28);
-        assert_eq!(a.subsumed, 30);
-        assert_eq!(a.strengthened, 32);
         assert_eq!(a.chrono_backjumps, 34);
         assert_eq!(a.promoted, 36);
         // `since` is the exact inverse of one absorb
@@ -2101,10 +1606,6 @@ mod tests {
             deadline_checks: 10,
             ema_forced: 11,
             ema_blocked: 12,
-            vivified_clauses: 13,
-            vivified_lits: 14,
-            subsumed: 15,
-            strengthened: 16,
             chrono_backjumps: 17,
             promoted: 18,
         };
@@ -2112,84 +1613,19 @@ mod tests {
     }
 
     #[test]
-    fn subsumption_deletes_redundant_supersets() {
-        // (1 ∨ 2) subsumes (1 ∨ 2 ∨ 3) and its duplicate; the sweep
-        // must delete both and keep the verdict identical.
-        let mut s = Solver::new();
-        cnf(&mut s, &[&[1, 2], &[1, 2, 3], &[1, 2, 3], &[-1, -2, -3]]);
-        assert!(!s.inprocess(), "no deadline set: pass cannot expire");
-        let st = s.stats();
-        assert_eq!(st.subsumed, 2, "{st:?}");
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn self_subsuming_resolution_strengthens() {
-        // (1 ∨ 2 ∨ 3) against (¬1 ∨ 2 ∨ 3) resolves to (2 ∨ 3): one
-        // literal removed, model set unchanged.
-        let mut s = Solver::new();
-        cnf(&mut s, &[&[1, 2, 3], &[-1, 2, 3]]);
-        assert!(!s.inprocess());
-        let st = s.stats();
-        assert!(st.strengthened >= 1, "{st:?}");
-        let (l2, l3) = (lit(-2, &mut s), lit(-3, &mut s));
-        // under ¬2 ∧ ¬3 the strengthened formula must still be UNSAT
-        assert_eq!(s.solve_with(&[l2, l3]), SolveResult::Unsat);
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn inprocessing_fires_on_hard_instance_and_preserves_unsat() {
-        // php(7,6) crosses the inprocessing threshold several times:
-        // vivification must shrink clauses, analysis must promote
-        // improving learnts, and the proof must still close.
+    fn ema_and_promotion_fire_on_hard_instance_and_preserve_unsat() {
+        // php(7,6) runs thousands of conflicts: analysis must promote
+        // improving learnts, the EMA controller must force restarts,
+        // and the proof must still close.
         let mut s = Solver::new();
         pigeonhole(&mut s, 7, 6);
         assert_eq!(s.solve(), SolveResult::Unsat);
         let st = s.stats();
-        assert!(st.conflicts > INPROCESS_INTERVAL, "{st:?}");
-        assert!(st.vivified_clauses > 0, "vivification never fired: {st:?}");
         assert!(st.promoted > 0, "no learnt was ever promoted: {st:?}");
         assert!(
             st.ema_forced > 0,
             "EMA restarts never forced on a restart-heavy instance: {st:?}"
         );
-    }
-
-    #[test]
-    fn luby_mode_disables_ema_and_agrees() {
-        let mut ema = Solver::new();
-        pigeonhole(&mut ema, 6, 5);
-        let mut luby = Solver::new();
-        pigeonhole(&mut luby, 6, 5);
-        luby.set_restart_mode(RestartMode::Luby);
-        luby.set_inprocessing(false);
-        assert_eq!(ema.solve(), SolveResult::Unsat);
-        assert_eq!(luby.solve(), SolveResult::Unsat);
-        let ls = luby.stats();
-        assert_eq!(ls.ema_forced + ls.ema_blocked, 0, "{ls:?}");
-        assert_eq!(
-            ls.vivified_clauses + ls.subsumed + ls.strengthened,
-            0,
-            "{ls:?}"
-        );
-    }
-
-    #[test]
-    fn deadline_interrupts_inprocessing_pass() {
-        // An already-expired deadline must stop an inprocessing pass at
-        // its first poll, before any clause is touched; clearing the
-        // deadline lets the same pass complete and the solve succeed.
-        let mut s = Solver::new();
-        cnf(&mut s, &[&[1, 2], &[1, 2, 3], &[-1, -2, -3]]);
-        s.set_deadline(Deadline::after_checks(1));
-        assert!(s.inprocess(), "pass must report deadline expiry");
-        assert!(s.stats().deadline_checks > 0);
-        assert_eq!(s.stats().subsumed, 0, "no work after expiry");
-        s.set_deadline(Deadline::none());
-        assert!(!s.inprocess());
-        assert!(s.stats().subsumed > 0);
-        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     #[test]

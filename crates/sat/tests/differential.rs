@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smartly_sat::{Lit, RestartMode, SolveResult, Solver, Var, INPROCESS_INTERVAL};
+use smartly_sat::{Lit, SolveResult, Solver, Var};
 
 fn lit_of(l: i32) -> Lit {
     Lit::new(Var::from_index(l.unsigned_abs() as usize - 1), l > 0)
@@ -196,12 +196,12 @@ fn arena_gc_reclaims_without_changing_verdicts() {
 
 /// A long-lived incremental solver (selector-guarded random 3-SAT
 /// instances sharing one learnt database) accumulates enough conflicts
-/// to run inprocessing mid-stream, and every verdict — plain or under an
-/// assumption prefix — still matches exhaustive checking. This is the
-/// differential gate for vivification/subsumption soundness: a single
-/// wrongly shrunk clause would flip some later instance's verdict.
+/// to reduce and compact its database mid-stream, and every verdict —
+/// plain or under an assumption prefix — still matches exhaustive
+/// checking. A single wrongly dropped or mis-forwarded clause would
+/// flip some later instance's verdict.
 #[test]
-fn incremental_selector_stream_with_inprocessing_matches_exhaustive() {
+fn incremental_selector_stream_matches_exhaustive() {
     const NVARS: usize = 12;
     let mut rng = StdRng::seed_from_u64(0x1A_7E57_ED5E);
     let mut s = Solver::new();
@@ -210,7 +210,7 @@ fn incremental_selector_stream_with_inprocessing_matches_exhaustive() {
     }
     // selector-guard each instance: clause ∨ ¬sel, activated by
     // assuming sel — the standard incremental encoding, so all
-    // instances share variables, learnts, and inprocessing passes
+    // instances share variables, learnts, and database reductions
     let mut selectors: Vec<Var> = Vec::new();
     let mut instances: Vec<Vec<Vec<i32>>> = Vec::new();
     for _ in 0..24 {
@@ -270,9 +270,9 @@ fn incremental_selector_stream_with_inprocessing_matches_exhaustive() {
     verify_all(&mut s, &mut rng, "cold");
 
     // Now make the same solver grind: selector-guarded pigeonhole
-    // gadgets on fresh variables push the shared database across
-    // several inprocessing boundaries (vivification and subsumption
-    // sweep over *all* clauses, including the random instances above).
+    // gadgets on fresh variables push the shared database through
+    // several reductions and arena compactions, which walk *all*
+    // clauses, including the random instances above.
     for _ in 0..4 {
         let base = s.num_vars();
         let (n, m) = (7, 6);
@@ -295,56 +295,25 @@ fn incremental_selector_stream_with_inprocessing_matches_exhaustive() {
     }
     let st = s.stats();
     assert!(
-        st.conflicts > INPROCESS_INTERVAL,
-        "gadgets must cross an inprocessing boundary: {st:?}"
-    );
-    assert!(
-        st.vivified_clauses + st.subsumed + st.strengthened > 0,
-        "inprocessing must have touched the shared database: {st:?}"
+        st.reduces > 0 && st.arena_gcs > 0,
+        "gadgets must reduce and compact the shared database: {st:?}"
     );
 
     // The verdicts that matter: every random instance still answers
-    // exactly as before the database was vivified/subsumed/compacted.
-    verify_all(&mut s, &mut rng, "post-inprocessing");
-}
-
-/// The fixed Luby schedule (inprocessing off) and the default EMA
-/// controller (inprocessing on) are interchangeable on verdicts: both
-/// agree with exhaustive checking on every seeded instance, differing
-/// only in search effort.
-#[test]
-fn luby_and_ema_restart_modes_agree_on_random_3sat() {
-    let mut rng = StdRng::seed_from_u64(0x1B1_0E3A);
-    for round in 0..24 {
-        let nvars = 8 + (round % 12); // 8..=19
-        let clauses = random_3sat(&mut rng, nvars, (nvars as f64 * 4.3) as usize);
-        let expected = if brute_force_sat(nvars, &clauses) {
-            SolveResult::Sat
-        } else {
-            SolveResult::Unsat
-        };
-        let mut ema = load(&clauses, nvars);
-        let mut luby = load(&clauses, nvars);
-        luby.set_restart_mode(RestartMode::Luby);
-        luby.set_inprocessing(false);
-        assert_eq!(ema.solve(), expected, "ema round {round}: {clauses:?}");
-        assert_eq!(luby.solve(), expected, "luby round {round}: {clauses:?}");
-    }
+    // exactly as before the database was reduced and compacted.
+    verify_all(&mut s, &mut rng, "post-reduction");
 }
 
 /// Regression pin: a conflict-heavy UNSAT proof under the default
-/// configuration demonstrably exercises the whole hygiene loop — EMA
-/// restarts fire, vivification shrinks tier2 learnts, the subsumption
-/// sweep deletes redundant clauses, and on-the-fly LBD recomputation
-/// promotes clauses into better tiers.
+/// configuration demonstrably exercises search control — EMA restarts
+/// fire and on-the-fly LBD recomputation promotes clauses into better
+/// tiers.
 #[test]
-fn default_config_exercises_inprocessing_on_pigeonhole() {
+fn default_config_exercises_ema_and_promotion_on_pigeonhole() {
     let mut s = Solver::new();
     pigeonhole(&mut s, 8, 7);
     assert_eq!(s.solve(), SolveResult::Unsat);
     let st = s.stats();
     assert!(st.ema_forced > 0, "EMA restarts must fire: {st:?}");
-    assert!(st.vivified_clauses > 0, "vivification must fire: {st:?}");
-    assert!(st.subsumed > 0, "subsumption must fire: {st:?}");
     assert!(st.promoted > 0, "tier promotion must fire: {st:?}");
 }

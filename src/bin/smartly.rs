@@ -129,12 +129,6 @@ CORPUS OPTIONS:
                                      trace file per level run and bench
                                      into <dir>
   --quiet, -q                        suppress the per-circuit table
-  --luby-restarts                    solver ablation: fixed Luby restart
-                                     schedule instead of the adaptive
-                                     EMA controller (digest unchanged)
-  --no-inprocessing                  solver ablation: skip vivification/
-                                     subsumption at restart boundaries
-                                     (digest unchanged)
   --no-knowledge, --knowledge-file <path>, --no-knowledge-save  as above
   --jobs <N>, --verify, --json <path> as above
 
@@ -539,8 +533,6 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
     let curve_scales = take_value(&mut args, &["--curve-scales"])?;
     opts.verify = take_flag(&mut args, "--verify");
     opts.share_knowledge = !take_flag(&mut args, "--no-knowledge");
-    opts.luby_restarts = take_flag(&mut args, "--luby-restarts");
-    opts.inprocessing = !take_flag(&mut args, "--no-inprocessing");
     let knowledge_file = take_value(&mut args, &["--knowledge-file"])?;
     let knowledge_save = !take_flag(&mut args, "--no-knowledge-save");
     let json_path = take_value(&mut args, &["--json"])?;
