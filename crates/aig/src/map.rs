@@ -189,7 +189,7 @@ impl SharedMapper {
         module: &Module,
     ) -> Result<Vec<(String, Vec<AigLit>)>, NetlistError> {
         let index = NetIndex::build(module);
-        let order = module.topo_order()?;
+        let order = module.topo_order_with(&index)?;
         let mut lit_of: HashMap<SigBit, AigLit> = HashMap::new();
 
         // 1. module input ports (shared by name)

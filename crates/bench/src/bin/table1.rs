@@ -17,7 +17,7 @@ fn demo(premises: &[(&str, bool)], expect: &[(&str, bool)]) -> (String, String, 
     m.add_output("y", &y);
     let index = NetIndex::build(&m);
     let ranks: HashMap<_, _> = m
-        .topo_order()
+        .topo_order_with(&index)
         .expect("acyclic")
         .into_iter()
         .enumerate()

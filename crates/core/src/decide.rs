@@ -403,7 +403,7 @@ mod tests {
     ) -> (Decision, Engine) {
         let index = NetIndex::build(m);
         let ranks: HashMap<_, _> = m
-            .topo_order()
+            .topo_order_with(&index)
             .unwrap()
             .into_iter()
             .enumerate()

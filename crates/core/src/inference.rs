@@ -434,7 +434,7 @@ mod tests {
     ) -> (NetIndex, SubGraph, HashMap<SigBit, bool>) {
         let index = NetIndex::build(m);
         let ranks: HashMap<_, _> = m
-            .topo_order()
+            .topo_order_with(&index)
             .unwrap()
             .into_iter()
             .enumerate()

@@ -337,7 +337,7 @@ pub fn sat_redundancy_with(
     ctx: &mut SweepContext,
 ) -> SatPassStats {
     let index = NetIndex::build(module);
-    let topo = match module.topo_order() {
+    let topo = match module.topo_order_with(&index) {
         Ok(t) => t,
         Err(_) => return SatPassStats::default(),
     };

@@ -2,7 +2,7 @@
 //! the cell-fingerprint dirty-set protocol that lets cross-round caches
 //! invalidate only the cones a netlist mutation actually touched.
 
-use crate::bits::SigBit;
+use crate::bits::{SigBit, TriVal};
 use crate::cell::Port;
 use crate::module::{CellId, Module, PortDir};
 use std::collections::{HashMap, HashSet};
@@ -20,16 +20,16 @@ pub struct Driver {
 }
 
 /// What consumes a bit.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Consumer {
     /// A cell input port.
     Cell(CellId),
-    /// A module output port (by name).
-    Output(String),
+    /// A module output port, by its position in [`Module::ports`].
+    Output(u32),
 }
 
 /// One use of a bit: consumer, port and offset within the port spec.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Sink {
     /// Who reads the bit.
     pub consumer: Consumer,
@@ -39,12 +39,36 @@ pub struct Sink {
     pub offset: u32,
 }
 
+/// Dense ids `0..3` are the constants `0`, `1` and `x`; wire bits follow.
+const CONST_BITS: [SigBit; 3] = [SigBit::ZERO, SigBit::ONE, SigBit::X];
+
+/// Alias-resolution states of a bit id: `OPEN` has an unfollowed edge,
+/// `ON_PATH` is on the chain being followed, and `DONE` points at its
+/// chain's end (a bit with no edge is its own end).
+const OPEN: u8 = 0;
+const ON_PATH: u8 = 1;
+const DONE: u8 = 2;
+
 /// A snapshot of a module's connectivity.
 ///
 /// Built once per pass via [`NetIndex::build`]; invalidated by any
 /// structural mutation. Module-level connections are resolved transitively,
 /// so [`NetIndex::canon`] maps every bit to the bit that *actually* carries
 /// its value (a cell output, an input-port bit, or a constant).
+///
+/// # Layout
+///
+/// Every bit has a dense `u32` id: the three constants take ids `0..3`,
+/// and bit `o` of wire `w` has id `base[w] + o`, where `base` holds the
+/// prefix sums of the wire widths. Canonical bits and drivers are plain
+/// per-id arrays, and fanouts are compressed rows (one `start` offset per
+/// id into a single sink array), so the constants' rows are the three
+/// per-constant sink lists. A build is a few linear sweeps with no
+/// hashing, so its cost is linear in wire bits plus cell and port pins.
+/// That keeps the design at one fresh build per pass: no index is kept
+/// up to date through a pass's mutations. Bits outside the module's
+/// wires (an out-of-range wire or offset) are their own canonical bit
+/// and have no driver and no fanout.
 ///
 /// # Example
 ///
@@ -63,9 +87,13 @@ pub struct Sink {
 /// ```
 #[derive(Clone, Debug)]
 pub struct NetIndex {
-    alias: HashMap<SigBit, SigBit>,
-    drivers: HashMap<SigBit, Driver>,
-    fanouts: HashMap<SigBit, Vec<Sink>>,
+    /// Id of bit 0 of each wire, plus the total id count at the end.
+    base: Vec<u32>,
+    canon: Vec<SigBit>,
+    driver: Vec<Option<Driver>>,
+    /// Sinks of id `i` are `sinks[fan_start[i]..fan_start[i + 1]]`.
+    fan_start: Vec<u32>,
+    sinks: Vec<Sink>,
 }
 
 impl NetIndex {
@@ -76,102 +104,142 @@ impl NetIndex {
     /// Panics if the module's connection graph is cyclic (validated modules
     /// cannot be — a cycle requires a multiply-driven bit).
     pub fn build(module: &Module) -> Self {
-        // 1. raw alias edges from module connections
-        let mut raw: HashMap<SigBit, SigBit> = HashMap::new();
+        let mut base = Vec::new();
+        let mut canon = CONST_BITS.to_vec();
+        for (id, wire) in module.wires() {
+            base.push(canon.len() as u32);
+            canon.extend((0..wire.width).map(|i| SigBit::Wire(id, i)));
+        }
+        // the total bounds every prefix, so the casts above were exact
+        base.push(u32::try_from(canon.len()).expect("a module has under 2^32 bits"));
+        let mut index = NetIndex {
+            base,
+            canon,
+            driver: Vec::new(),
+            fan_start: Vec::new(),
+            sinks: Vec::new(),
+        };
+        index.resolve_aliases(module);
+        index.index_drivers(module);
+        index.index_fanouts(module);
+        index
+    }
+
+    /// The dense id of `bit`, or `None` for a bit outside the module.
+    fn id(&self, bit: SigBit) -> Option<usize> {
+        match bit {
+            SigBit::Const(v) => Some(match v {
+                TriVal::Zero => 0,
+                TriVal::One => 1,
+                TriVal::X => 2,
+            }),
+            SigBit::Wire(w, offset) => {
+                let lo = *self.base.get(w.index())?;
+                let hi = *self.base.get(w.index() + 1)?;
+                (offset < hi - lo).then(|| (lo + offset) as usize)
+            }
+        }
+    }
+
+    /// The dense id of `bit`'s canonical bit.
+    fn canon_id(&self, bit: SigBit) -> Option<usize> {
+        self.id(self.canon(bit))
+    }
+
+    /// Records each connection `dst <- src` as a raw alias edge (a later
+    /// connection of the same bit wins), then follows every chain to its
+    /// end and points each bit on it straight at that end.
+    fn resolve_aliases(&mut self, module: &Module) {
+        let mut state = vec![DONE; self.canon.len()];
         for (dst, src) in module.connections() {
             for (d, s) in dst.iter().zip(src.iter()) {
-                raw.insert(*d, *s);
+                if let Some(i) = self.id(*d) {
+                    self.canon[i] = *s;
+                    state[i] = OPEN;
+                }
             }
         }
-        // 2. resolve transitively with path compression
-        let mut alias: HashMap<SigBit, SigBit> = HashMap::new();
-        for &start in raw.keys() {
-            if alias.contains_key(&start) {
+        let mut path = Vec::new();
+        for start in 0..state.len() {
+            if state[start] != OPEN {
                 continue;
             }
-            let mut path = vec![start];
             let mut cur = start;
-            loop {
-                if let Some(&resolved) = alias.get(&cur) {
-                    cur = resolved;
-                    break;
-                }
-                match raw.get(&cur) {
-                    Some(&next) => {
-                        assert!(
-                            !path.contains(&next),
-                            "cyclic connection chain in module {}",
-                            module.name
-                        );
-                        path.push(next);
-                        cur = next;
+            let end = loop {
+                match state[cur] {
+                    DONE => break self.canon[cur],
+                    ON_PATH => panic!("cyclic connection chain in module {}", module.name),
+                    _ => {
+                        state[cur] = ON_PATH;
+                        path.push(cur);
+                        match self.id(self.canon[cur]) {
+                            Some(next) => cur = next,
+                            None => break self.canon[cur],
+                        }
                     }
-                    None => break,
                 }
-            }
-            for b in path {
-                if b != cur {
-                    alias.insert(b, cur);
-                }
+            };
+            for i in path.drain(..) {
+                self.canon[i] = end;
+                state[i] = DONE;
             }
         }
+    }
 
-        let canon = |bit: SigBit| -> SigBit { alias.get(&bit).copied().unwrap_or(bit) };
-
-        // 3. drivers: cell output bits
-        let mut drivers = HashMap::new();
+    /// Cell output bits, in cell id order (a later driver of the same bit
+    /// wins).
+    fn index_drivers(&mut self, module: &Module) {
+        let mut driver = vec![None; self.canon.len()];
         for (id, cell) in module.cells() {
             let port = cell.kind.output_port();
-            let out = cell.output();
-            for (i, bit) in out.iter().enumerate() {
-                drivers.insert(
-                    canon(*bit),
-                    Driver {
+            for (i, bit) in cell.output().iter().enumerate() {
+                if let Some(c) = self.canon_id(*bit) {
+                    driver[c] = Some(Driver {
                         cell: id,
                         port,
                         offset: i as u32,
-                    },
-                );
-            }
-        }
-
-        // 4. fanouts: cell inputs + module outputs
-        let mut fanouts: HashMap<SigBit, Vec<Sink>> = HashMap::new();
-        for (id, cell) in module.cells() {
-            for (port, spec) in cell.inputs() {
-                for (i, bit) in spec.iter().enumerate() {
-                    fanouts.entry(canon(*bit)).or_default().push(Sink {
-                        consumer: Consumer::Cell(id),
-                        port,
-                        offset: i as u32,
                     });
                 }
             }
         }
-        for p in module.ports() {
-            if p.dir == PortDir::Output {
-                let w = module.wire(p.wire).width;
-                for i in 0..w {
-                    let bit = canon(SigBit::Wire(p.wire, i));
-                    fanouts.entry(bit).or_default().push(Sink {
-                        consumer: Consumer::Output(p.name.clone()),
-                        port: Port::Y,
-                        offset: i,
-                    });
-                }
-            }
-        }
+        self.driver = driver;
+    }
 
-        NetIndex {
-            alias,
-            drivers,
-            fanouts,
+    /// Counts each canonical bit's sinks, then fills the rows in one more
+    /// walk, so every row lists its sinks in walk order.
+    fn index_fanouts(&mut self, module: &Module) {
+        let n = self.canon.len();
+        let mut fan_start = vec![0u32; n + 1];
+        for_each_sink(module, |bit, _| {
+            if let Some(c) = self.canon_id(bit) {
+                fan_start[c + 1] += 1;
+            }
+        });
+        for i in 0..n {
+            fan_start[i + 1] = fan_start[i + 1]
+                .checked_add(fan_start[i])
+                .expect("under 2^32 pins");
         }
+        let mut next = fan_start.clone();
+        let filler = Sink {
+            consumer: Consumer::Output(0),
+            port: Port::Y,
+            offset: 0,
+        };
+        let mut sinks = vec![filler; fan_start[n] as usize];
+        for_each_sink(module, |bit, sink| {
+            if let Some(c) = self.canon_id(bit) {
+                sinks[next[c] as usize] = sink;
+                next[c] += 1;
+            }
+        });
+        self.fan_start = fan_start;
+        self.sinks = sinks;
     }
 
     /// Resolves a bit through module connections to its canonical source.
     pub fn canon(&self, bit: SigBit) -> SigBit {
-        self.alias.get(&bit).copied().unwrap_or(bit)
+        self.id(bit).map_or(bit, |i| self.canon[i])
     }
 
     /// The cell driving a canonical bit, if any.
@@ -179,15 +247,17 @@ impl NetIndex {
     /// Pass the result of [`NetIndex::canon`]; a non-canonical bit has no
     /// driver entry.
     pub fn driver(&self, canonical_bit: SigBit) -> Option<Driver> {
-        self.drivers.get(&canonical_bit).copied()
+        self.id(canonical_bit).and_then(|i| self.driver[i])
     }
 
-    /// All sinks reading a canonical bit.
+    /// All sinks reading a canonical bit: cell input pins in cell id order
+    /// (each cell's ports in [`crate::CellKind::input_ports`] order), then
+    /// module output port bits in port order.
     pub fn fanout(&self, canonical_bit: SigBit) -> &[Sink] {
-        self.fanouts
-            .get(&canonical_bit)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        match self.id(canonical_bit) {
+            Some(i) => &self.sinks[self.fan_start[i] as usize..self.fan_start[i + 1] as usize],
+            None => &[],
+        }
     }
 
     /// Number of sinks reading a canonical bit.
@@ -262,6 +332,41 @@ impl NetIndex {
             .filter(|(id, fp)| after.get(id) != Some(fp))
             .map(|(&id, _)| id)
             .collect()
+    }
+}
+
+/// Calls `f(bit, sink)` for every read of a bit: cell input pins by cell
+/// id, each cell's ports in kind order, then each output port's bits.
+fn for_each_sink(module: &Module, mut f: impl FnMut(SigBit, Sink)) {
+    for (id, cell) in module.cells() {
+        for (port, spec) in cell.inputs() {
+            for (i, bit) in spec.iter().enumerate() {
+                let consumer = Consumer::Cell(id);
+                f(
+                    *bit,
+                    Sink {
+                        consumer,
+                        port,
+                        offset: i as u32,
+                    },
+                );
+            }
+        }
+    }
+    for (k, p) in module.ports().iter().enumerate() {
+        if p.dir == PortDir::Output {
+            let consumer = Consumer::Output(k as u32);
+            for i in 0..module.wire(p.wire).width {
+                f(
+                    SigBit::Wire(p.wire, i),
+                    Sink {
+                        consumer,
+                        port: Port::Y,
+                        offset: i,
+                    },
+                );
+            }
+        }
     }
 }
 

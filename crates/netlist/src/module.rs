@@ -3,7 +3,8 @@
 use crate::bits::{SigBit, SigSpec};
 use crate::cell::{Cell, CellKind, Port};
 use crate::error::NetlistError;
-use std::collections::{HashMap, HashSet};
+use crate::index::NetIndex;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identifies a [`Wire`] within its [`Module`].
@@ -632,41 +633,51 @@ impl Module {
     /// Topologically orders live cells over combinational edges.
     ///
     /// `dff` cells are sources (their `Q` does not depend on `D` within a
-    /// cycle).
+    /// cycle). This builds a fresh [`NetIndex`]; a pass that already holds
+    /// one calls [`Module::topo_order_with`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if the combinational
     /// part of the module is cyclic.
     pub fn topo_order(&self) -> Result<Vec<CellId>, NetlistError> {
-        // map: canonical driven bit -> driving cell (combinational only)
-        let index = crate::index::NetIndex::build(self);
+        self.topo_order_with(&NetIndex::build(self))
+    }
+
+    /// [`Module::topo_order`] over `index`, which must be built from this
+    /// module as it is now.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the combinational
+    /// part of the module is cyclic.
+    pub fn topo_order_with(&self, index: &NetIndex) -> Result<Vec<CellId>, NetlistError> {
+        const VISITING: u8 = 1;
+        const DONE: u8 = 2;
+        let cycle = || NetlistError::CombinationalCycle {
+            module: self.name.clone(),
+        };
         let mut order = Vec::new();
-        let mut state: HashMap<CellId, u8> = HashMap::new(); // 1 = visiting, 2 = done
-        let ids = self.cell_ids();
+        let mut state = vec![0u8; self.cells.len()];
 
         // iterative DFS to avoid stack overflow on deep chains
-        for root in ids {
-            if state.get(&root).copied() == Some(2) {
+        for root in self.cell_ids() {
+            if state[root.index()] == DONE {
                 continue;
             }
             let mut stack: Vec<(CellId, usize)> = vec![(root, 0)];
             while let Some((id, phase)) = stack.pop() {
-                match state.get(&id).copied() {
-                    Some(2) => continue,
-                    Some(1) if phase == 0 => {
-                        return Err(NetlistError::CombinationalCycle {
-                            module: self.name.clone(),
-                        });
-                    }
+                match state[id.index()] {
+                    DONE => continue,
+                    VISITING if phase == 0 => return Err(cycle()),
                     _ => {}
                 }
                 if phase == 1 {
-                    state.insert(id, 2);
+                    state[id.index()] = DONE;
                     order.push(id);
                     continue;
                 }
-                state.insert(id, 1);
+                state[id.index()] = VISITING;
                 stack.push((id, 1));
                 let cell = self.cell(id).expect("live cell");
                 if cell.kind.is_sequential() {
@@ -678,14 +689,10 @@ impl Module {
                         if let Some(drv) = index.driver(canon) {
                             let dc = self.cell(drv.cell).expect("live driver");
                             if !dc.kind.is_sequential() {
-                                match state.get(&drv.cell).copied() {
-                                    Some(1) => {
-                                        return Err(NetlistError::CombinationalCycle {
-                                            module: self.name.clone(),
-                                        });
-                                    }
-                                    Some(_) => {}
-                                    None => stack.push((drv.cell, 0)),
+                                match state[drv.cell.index()] {
+                                    VISITING => return Err(cycle()),
+                                    DONE => {}
+                                    _ => stack.push((drv.cell, 0)),
                                 }
                             }
                         }
@@ -729,6 +736,7 @@ impl fmt::Display for Module {
 mod tests {
     use super::*;
     use crate::bits::TriVal;
+    use std::collections::HashMap;
 
     #[test]
     fn builder_widths() {

@@ -1,4 +1,5 @@
-//! Randomized tests for the IR: `SigSpec` algebra and `eval_cell` laws.
+//! Randomized tests for the IR: `SigSpec` algebra, `eval_cell` laws, and
+//! the dense connectivity index against a hash-map oracle.
 //!
 //! Formerly written with `proptest`; the offline build environment cannot
 //! fetch it, so each property now runs as a seeded loop over the vendored
@@ -6,7 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smartly_netlist::{eval_cell, CellInputs, CellKind, SigSpec, TriVal};
+use smartly_netlist::{
+    eval_cell, CellId, CellInputs, CellKind, Consumer, Driver, Module, NetIndex, Port, PortDir,
+    SigBit, SigSpec, Sink, TriVal,
+};
+use std::collections::{HashMap, HashSet};
 
 const CASES: usize = 64;
 
@@ -201,4 +206,322 @@ fn to_u64(bits: &[TriVal]) -> Option<u64> {
         }
     }
     Some(v)
+}
+
+/// A random module: inputs and cells of mixed widths (multi-port
+/// `mux`/`pmux`/`add`/`eq`/`dff` among them), alias chains up to 8 deep
+/// recorded in shuffled order (some rooted at constants, read by cells at
+/// every depth), a wire driven after its readers, and output ports
+/// aliased to inputs, constants, cell outputs and chain wires. Some bits
+/// are driven twice, which validation rejects but the index must still
+/// resolve the way the oracle does: the later edge or driver wins.
+fn random_module(rng: &mut StdRng) -> Module {
+    let mut m = Module::new("rand");
+    let mut pool: Vec<SigBit> = Vec::new();
+    for k in 0..rng.gen_range(1..=3) {
+        pool.extend(m.add_input(&format!("i{k}"), rng.gen_range(1..=6)).iter());
+    }
+    let clk = m.add_input("clk", 1);
+    // no cell reads `r` itself; multiply-driven outputs alias it
+    let r = m.add_input("r", 1).bit(0);
+    // `late` is readable from the start but driven at the end, by bits
+    // that do not depend on it combinationally: a cell may then read a
+    // bit driven by a cell with a higher id
+    let late_width = rng.gen_range(1..=4);
+    let late = SigSpec::from_wire(m.auto_wire(late_width), late_width);
+    pool.extend(late.iter());
+    let mut tainted: HashSet<SigBit> = late.iter().copied().collect();
+    let mut pending: Vec<(SigSpec, SigSpec)> = Vec::new();
+
+    fn operand(rng: &mut StdRng, pool: &[SigBit], w: u32) -> SigSpec {
+        (0..w)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => SigBit::ZERO,
+                1 => SigBit::ONE,
+                2 if rng.gen_bool(0.3) => SigBit::X,
+                _ => pool[rng.gen_range(0..pool.len())],
+            })
+            .collect()
+    }
+
+    for _ in 0..rng.gen_range(4..=16) {
+        let w = rng.gen_range(1..=5);
+        if rng.gen_range(0..4) == 0 {
+            // an alias chain: root <- operand, w1 <- root, ... w_d <- w_{d-1}
+            let depth = rng.gen_range(1..=8);
+            let mut src = if rng.gen_bool(0.25) {
+                SigSpec::const_u64(rng.gen_range(0..32), w)
+            } else {
+                operand(rng, &pool, w)
+            };
+            for _ in 0..depth {
+                let wire = m.auto_wire(w);
+                let dst = SigSpec::from_wire(wire, w);
+                for (d, s) in dst.iter().zip(src.iter()) {
+                    if tainted.contains(s) {
+                        tainted.insert(*d);
+                    }
+                }
+                pending.push((dst.clone(), src));
+                pool.extend(dst.iter());
+                src = dst;
+            }
+            if rng.gen_bool(0.2) {
+                // a second, conflicting edge onto the chain's last wire,
+                // from a constant or an input bit (so it cannot close a
+                // loop): the connection recorded later wins
+                let root = if rng.gen_bool(0.5) {
+                    SigBit::ONE
+                } else {
+                    pool[0]
+                };
+                pending.push((src, SigSpec::from_bits(vec![root; w as usize])));
+            }
+            continue;
+        }
+        let a = operand(rng, &pool, w);
+        let b = operand(rng, &pool, w);
+        let y = match rng.gen_range(0..8) {
+            0 => m.not(&a),
+            1 => m.and(&a, &b),
+            2 => m.xor(&a, &b),
+            3 => m.eq(&a, &b),
+            4 => m.add(&a, &b),
+            5 => m.mux(&a, &b, &operand(rng, &pool, 1)),
+            6 => {
+                let n = rng.gen_range(1..=3);
+                let words: Vec<SigSpec> = (0..n).map(|_| operand(rng, &pool, w)).collect();
+                m.pmux(&a, &words, &operand(rng, &pool, n as u32))
+            }
+            _ => m.dff(&clk, &a),
+        };
+        let id = *m.cell_ids().last().expect("a cell");
+        let cell = m.cell(id).expect("live");
+        let reads_late = cell
+            .inputs()
+            .any(|(_, spec)| spec.iter().any(|b| tainted.contains(b)));
+        if reads_late && !cell.kind.is_sequential() {
+            tainted.extend(y.iter());
+        }
+        if rng.gen_bool(0.1) {
+            // a multiply-driven output: its bits alias `r`, which then
+            // records the last such cell as its driver
+            pending.push((y.clone(), SigSpec::from_bits(vec![r; y.width()])));
+        }
+        pool.extend(y.iter());
+    }
+    let untainted: Vec<SigBit> = pool
+        .iter()
+        .filter(|b| !tainted.contains(b))
+        .copied()
+        .collect();
+    pending.push((late, operand(rng, &untainted, late_width)));
+    // shuffled, so chains resolve through bits whose own edge comes later
+    while !pending.is_empty() {
+        let (dst, src) = pending.swap_remove(rng.gen_range(0..pending.len()));
+        m.connect(dst, src);
+    }
+    for k in 0..rng.gen_range(1..=4) {
+        let w = rng.gen_range(1..=4);
+        let src = match rng.gen_range(0..3) {
+            0 => SigSpec::const_u64(rng.gen_range(0..16), w),
+            _ => operand(rng, &pool, w),
+        };
+        m.add_output(&format!("o{k}"), &src);
+    }
+    if let Some(SigBit::Wire(wire, _)) = pool.iter().rev().find(|b| !b.is_const()) {
+        if rng.gen_bool(0.5) {
+            m.mark_output(*wire);
+        }
+    }
+    m
+}
+
+/// The hash-map index: raw alias edges resolved transitively, drivers and
+/// fanouts keyed by canonical bit, sinks pushed in cell id order, then
+/// output port order.
+struct Oracle {
+    alias: HashMap<SigBit, SigBit>,
+    drivers: HashMap<SigBit, Driver>,
+    fanouts: HashMap<SigBit, Vec<Sink>>,
+}
+
+impl Oracle {
+    fn build(m: &Module) -> Self {
+        let mut raw = HashMap::new();
+        for (dst, src) in m.connections() {
+            for (d, s) in dst.iter().zip(src.iter()) {
+                raw.insert(*d, *s);
+            }
+        }
+        let mut alias = HashMap::new();
+        for &start in raw.keys() {
+            let mut cur = start;
+            let mut steps = 0;
+            while let Some(&next) = raw.get(&cur) {
+                cur = next;
+                steps += 1;
+                assert!(steps <= raw.len(), "oracle: cyclic chain");
+            }
+            alias.insert(start, cur);
+        }
+        let canon = |b: SigBit| alias.get(&b).copied().unwrap_or(b);
+        let mut drivers = HashMap::new();
+        let mut fanouts: HashMap<SigBit, Vec<Sink>> = HashMap::new();
+        for (id, cell) in m.cells() {
+            let port = cell.kind.output_port();
+            for (i, bit) in cell.output().iter().enumerate() {
+                let offset = i as u32;
+                drivers.insert(
+                    canon(*bit),
+                    Driver {
+                        cell: id,
+                        port,
+                        offset,
+                    },
+                );
+            }
+        }
+        for (id, cell) in m.cells() {
+            for (port, spec) in cell.inputs() {
+                for (i, bit) in spec.iter().enumerate() {
+                    let consumer = Consumer::Cell(id);
+                    let sink = Sink {
+                        consumer,
+                        port,
+                        offset: i as u32,
+                    };
+                    fanouts.entry(canon(*bit)).or_default().push(sink);
+                }
+            }
+        }
+        for (k, p) in m.ports().iter().enumerate() {
+            if p.dir == PortDir::Output {
+                for i in 0..m.wire(p.wire).width {
+                    let consumer = Consumer::Output(k as u32);
+                    let sink = Sink {
+                        consumer,
+                        port: Port::Y,
+                        offset: i,
+                    };
+                    fanouts
+                        .entry(canon(SigBit::Wire(p.wire, i)))
+                        .or_default()
+                        .push(sink);
+                }
+            }
+        }
+        Oracle {
+            alias,
+            drivers,
+            fanouts,
+        }
+    }
+}
+
+/// Every bit of `m`: the constants, every wire bit, and one past the last
+/// wire's width (a bit outside the module).
+fn all_bits(m: &Module) -> Vec<SigBit> {
+    let mut bits = vec![SigBit::ZERO, SigBit::ONE, SigBit::X];
+    for (id, wire) in m.wires() {
+        bits.extend((0..wire.width).map(|i| SigBit::Wire(id, i)));
+    }
+    let (last, wire) = m.wires().last().expect("a wire");
+    bits.push(SigBit::Wire(last, wire.width));
+    bits
+}
+
+#[test]
+fn dense_index_matches_hash_map_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_7409);
+    for case in 0..CASES * 4 {
+        let m = random_module(&mut rng);
+        let oracle = Oracle::build(&m);
+        let index = NetIndex::build(&m);
+        let cells = m.cell_ids();
+        for bit in all_bits(&m) {
+            let canon = oracle.alias.get(&bit).copied().unwrap_or(bit);
+            assert_eq!(index.canon(bit), canon, "case {case}: canon of {bit:?}");
+            assert_eq!(
+                index.driver(bit),
+                oracle.drivers.get(&bit).copied(),
+                "case {case}: driver of {bit:?}"
+            );
+            let sinks = oracle.fanouts.get(&bit).map_or(&[][..], |v| v.as_slice());
+            assert_eq!(index.fanout(bit), sinks, "case {case}: fanout of {bit:?}");
+            assert_eq!(
+                index.feeds_output(bit),
+                sinks
+                    .iter()
+                    .any(|s| matches!(s.consumer, Consumer::Output(_))),
+                "case {case}: feeds_output of {bit:?}"
+            );
+            let exclude: Vec<CellId> = cells
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.3))
+                .collect();
+            let external = sinks
+                .iter()
+                .filter(|s| !matches!(s.consumer, Consumer::Cell(c) if exclude.contains(&c)))
+                .count();
+            assert_eq!(
+                index.external_cell_fanout(bit, &exclude),
+                external,
+                "case {case}: external_cell_fanout of {bit:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn topo_order_with_matches_topo_order_and_respects_drivers() {
+    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_740a);
+    let mut acyclic = 0;
+    for case in 0..CASES {
+        let m = random_module(&mut rng);
+        let order = m.topo_order_with(&NetIndex::build(&m));
+        assert_eq!(m.topo_order(), order, "case {case}");
+        // two cells re-driving `r` can close a combinational loop
+        let Ok(order) = order else { continue };
+        acyclic += 1;
+        assert_eq!(order.len(), m.live_cell_count(), "case {case}");
+        let oracle = Oracle::build(&m);
+        let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+        for (id, cell) in m.cells() {
+            if cell.kind.is_sequential() {
+                continue;
+            }
+            for (_, spec) in cell.inputs() {
+                for bit in spec.iter() {
+                    let canon = oracle.alias.get(bit).copied().unwrap_or(*bit);
+                    if let Some(d) = oracle.drivers.get(&canon) {
+                        if !m.cell(d.cell).unwrap().kind.is_sequential() {
+                            assert!(rank[&d.cell] < rank[&id], "case {case}: driver after user");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        acyclic > CASES / 2,
+        "only {acyclic} of {CASES} modules were acyclic"
+    );
+}
+
+#[test]
+#[should_panic(expected = "cyclic connection chain")]
+fn cyclic_connection_chain_panics() {
+    let mut m = Module::new("loop");
+    let a = m.add_input("a", 1);
+    let w1 = SigSpec::from_wire(m.auto_wire(1), 1);
+    let w2 = SigSpec::from_wire(m.auto_wire(1), 1);
+    let w3 = SigSpec::from_wire(m.auto_wire(1), 1);
+    m.connect(w1.clone(), w2.clone());
+    m.connect(w2, w3.clone());
+    m.connect(w3, w1.clone());
+    let y = m.and(&a, &w1);
+    m.add_output("y", &y);
+    NetIndex::build(&m);
 }

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 /// * `pmux` drops constant-0 selects and truncates at a constant-1 select.
 pub fn opt_const(module: &mut Module) -> usize {
     let index = NetIndex::build(module);
-    let order = match module.topo_order() {
+    let order = match module.topo_order_with(&index) {
         Ok(o) => o,
         Err(_) => return 0,
     };
@@ -178,10 +178,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                         } else {
                             // y = !sig : rewrite the cell into a Not
                             let c = module.cell_mut(id).expect("live cell");
-                            c.kind = CellKind::Not;
-                            c.set_port(Port::A, SigSpec::from_bit(sig));
-                            c.set_port(Port::Y, out_spec.clone());
-                            // drop stale B binding by rebuilding connections
+                            // a fresh cell drops the stale B binding
                             let mut fresh =
                                 smartly_netlist::Cell::new(CellKind::Not, c.name.clone());
                             fresh.set_port(Port::A, SigSpec::from_bit(sig));

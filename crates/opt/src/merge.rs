@@ -14,7 +14,7 @@ pub fn opt_merge(module: &mut Module) -> usize {
     let mut seen: HashMap<(CellKind, Vec<SigSpec>), smartly_netlist::CellId> = HashMap::new();
     let mut merges: Vec<(smartly_netlist::CellId, smartly_netlist::CellId)> = Vec::new();
 
-    let order = match module.topo_order() {
+    let order = match module.topo_order_with(&index) {
         Ok(o) => o,
         Err(_) => return 0,
     };

@@ -53,7 +53,7 @@ pub mod journal;
 pub mod protocol;
 pub mod wire;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -204,13 +204,14 @@ pub struct Counters {
     pub replayed_requeued: u64,
 }
 
-/// A job's terminal result.
+/// A job's terminal result. The digest and Verilog are interned in
+/// [`State::texts`], so jobs with equal output share one allocation.
 #[derive(Clone, Debug)]
 struct Terminal {
     status: JobStatus,
-    digest: String,
+    digest: Arc<str>,
     error: String,
-    verilog: String,
+    verilog: Arc<str>,
     modules_poisoned: u64,
 }
 
@@ -238,6 +239,79 @@ struct State {
     draining: bool,
     counters: Counters,
     journal: Option<Journal>,
+    /// Every distinct digest and Verilog text a terminal job holds: a
+    /// long-lived daemon's memory grows with distinct outputs, not with
+    /// jobs served.
+    texts: HashSet<Arc<str>>,
+}
+
+impl State {
+    /// The shared copy of `text`, stored on first sight.
+    fn intern(&mut self, text: &str) -> Arc<str> {
+        if let Some(shared) = self.texts.get(text) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(text);
+        self.texts.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Restores one replayed journal record: an accepted job queues
+    /// again, a completion becomes its terminal result.
+    fn restore(&mut self, record: Record) {
+        match record {
+            Record::Accepted {
+                id,
+                source,
+                level,
+                timeout_ms,
+                verify,
+            } => {
+                self.jobs.insert(
+                    id,
+                    JobEntry {
+                        spec: JobSpec {
+                            id,
+                            source,
+                            level,
+                            timeout_ms,
+                            verify,
+                        },
+                        phase: Phase::Queued,
+                    },
+                );
+            }
+            Record::Completed {
+                id,
+                status,
+                digest,
+                error,
+                verilog,
+                modules_poisoned,
+            } => {
+                let terminal = Terminal {
+                    status,
+                    digest: self.intern(&digest),
+                    error,
+                    verilog: self.intern(&verilog),
+                    modules_poisoned,
+                };
+                // an orphan completion (its accept record was the corrupt
+                // one) still serves results
+                let entry = self.jobs.entry(id).or_insert_with(|| JobEntry {
+                    spec: JobSpec {
+                        id,
+                        source: String::new(),
+                        level: String::new(),
+                        timeout_ms: 0,
+                        verify: false,
+                    },
+                    phase: Phase::Queued,
+                });
+                entry.phase = Phase::Terminal(terminal);
+            }
+        }
+    }
 }
 
 struct Inner {
@@ -346,58 +420,7 @@ impl Server {
             state.counters.journal_truncated_bytes = replay.truncated_bytes;
             state.next_id = replay.max_id + 1;
             for record in replay.records {
-                match record {
-                    Record::Accepted {
-                        id,
-                        source,
-                        level,
-                        timeout_ms,
-                        verify,
-                    } => {
-                        state.jobs.insert(
-                            id,
-                            JobEntry {
-                                spec: JobSpec {
-                                    id,
-                                    source,
-                                    level,
-                                    timeout_ms,
-                                    verify,
-                                },
-                                phase: Phase::Queued,
-                            },
-                        );
-                    }
-                    Record::Completed {
-                        id,
-                        status,
-                        digest,
-                        error,
-                        verilog,
-                        modules_poisoned,
-                    } => {
-                        let terminal = Terminal {
-                            status,
-                            digest,
-                            error,
-                            verilog,
-                            modules_poisoned,
-                        };
-                        // an orphan completion (its accept record was
-                        // the corrupt one) still serves results
-                        let entry = state.jobs.entry(id).or_insert_with(|| JobEntry {
-                            spec: JobSpec {
-                                id,
-                                source: String::new(),
-                                level: String::new(),
-                                timeout_ms: 0,
-                                verify: false,
-                            },
-                            phase: Phase::Queued,
-                        });
-                        entry.phase = Phase::Terminal(terminal);
-                    }
-                }
+                state.restore(record);
             }
             let mut requeue: Vec<u64> = state
                 .jobs
@@ -562,35 +585,52 @@ fn worker_loop(inner: &Arc<Inner>) {
             // replacement: drop the late result and retire
             return;
         }
-        let terminal = match outcome {
-            Ok(RunOutcome::Done {
-                digest,
-                verilog,
-                modules_poisoned,
-            }) => Terminal {
-                status: JobStatus::Done,
-                digest,
-                error: String::new(),
-                verilog,
-                modules_poisoned,
-            },
-            Ok(RunOutcome::Failed { error }) => Terminal {
-                status: JobStatus::Failed,
-                digest: String::new(),
-                error,
-                verilog: String::new(),
-                modules_poisoned: 0,
-            },
-            Err(panic) => Terminal {
-                status: JobStatus::Poisoned,
-                digest: String::new(),
-                error: format!("job panicked: {}", panic_message(&*panic)),
-                verilog: String::new(),
-                modules_poisoned: 0,
-            },
-        };
+        let terminal = completed(&mut st, outcome);
         finish_job(&mut st, id, terminal);
         inner.cv.notify_all();
+    }
+}
+
+/// The terminal result of a job the runner returned from (or panicked
+/// in), with its output interned.
+fn completed(st: &mut State, outcome: std::thread::Result<RunOutcome>) -> Terminal {
+    let (status, digest, error, verilog, modules_poisoned) = match outcome {
+        Ok(RunOutcome::Done {
+            digest,
+            verilog,
+            modules_poisoned,
+        }) => (
+            JobStatus::Done,
+            digest,
+            String::new(),
+            verilog,
+            modules_poisoned,
+        ),
+        Ok(RunOutcome::Failed { error }) => {
+            (JobStatus::Failed, String::new(), error, String::new(), 0)
+        }
+        Err(panic) => {
+            let error = format!("job panicked: {}", panic_message(&*panic));
+            (JobStatus::Poisoned, String::new(), error, String::new(), 0)
+        }
+    };
+    Terminal {
+        status,
+        digest: st.intern(&digest),
+        error,
+        verilog: st.intern(&verilog),
+        modules_poisoned,
+    }
+}
+
+/// A job poisoned from outside its runner (watchdog or drain): no output.
+fn poisoned(st: &mut State, error: &str) -> Terminal {
+    Terminal {
+        status: JobStatus::Poisoned,
+        digest: st.intern(""),
+        error: error.to_string(),
+        verilog: st.intern(""),
+        modules_poisoned: 0,
     }
 }
 
@@ -616,9 +656,9 @@ fn finish_job(st: &mut State, id: u64, terminal: Terminal) {
     let record = Record::Completed {
         id,
         status: terminal.status,
-        digest: terminal.digest.clone(),
+        digest: terminal.digest.to_string(),
         error: terminal.error.clone(),
-        verilog: terminal.verilog.clone(),
+        verilog: terminal.verilog.to_string(),
         modules_poisoned: terminal.modules_poisoned,
     };
     if let Some(journal) = &mut st.journal {
@@ -656,18 +696,11 @@ fn watchdog_loop(inner: &Arc<Inner>) {
             }
         }
         for id in wedged {
-            finish_job(
+            let terminal = poisoned(
                 &mut st,
-                id,
-                Terminal {
-                    status: JobStatus::Poisoned,
-                    digest: String::new(),
-                    error: "watchdog: job exceeded its budget plus grace; worker abandoned"
-                        .to_string(),
-                    verilog: String::new(),
-                    modules_poisoned: 0,
-                },
+                "watchdog: job exceeded its budget plus grace; worker abandoned",
             );
+            finish_job(&mut st, id, terminal);
             // the wedged worker is lost to us; keep the pool at size
             let replacement = Arc::clone(inner);
             std::thread::spawn(move || worker_loop(&replacement));
@@ -717,17 +750,8 @@ fn drain(inner: &Arc<Inner>) -> DrainReport {
             .map(|(&id, _)| id)
             .collect();
         for id in stuck {
-            finish_job(
-                &mut st,
-                id,
-                Terminal {
-                    status: JobStatus::Poisoned,
-                    digest: String::new(),
-                    error: "drain: job cancelled at shutdown".to_string(),
-                    verilog: String::new(),
-                    modules_poisoned: 0,
-                },
-            );
+            let terminal = poisoned(&mut st, "drain: job cancelled at shutdown");
+            finish_job(&mut st, id, terminal);
         }
     }
     inner.cv.notify_all();
@@ -920,13 +944,13 @@ fn result(inner: &Arc<Inner>, id: u64, wait: bool, want_verilog: bool) -> Value 
             v.set("ok", Value::Bool(true));
             v.set("id", Value::UInt(id));
             v.set("status", Value::Str(t.status.name().to_string()));
-            v.set("digest", Value::Str(t.digest.clone()));
+            v.set("digest", Value::Str(t.digest.to_string()));
             v.set("modules_poisoned", Value::UInt(t.modules_poisoned));
             if !t.error.is_empty() {
                 v.set("error", Value::Str(t.error.clone()));
             }
             if want_verilog {
-                v.set("verilog", Value::Str(t.verilog.clone()));
+                v.set("verilog", Value::Str(t.verilog.to_string()));
             }
             return v;
         }
@@ -1032,5 +1056,90 @@ mod signal {
     /// Whether a drain signal has arrived.
     pub fn drain_requested() -> bool {
         DRAIN.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn digest_and_verilog(st: &State, id: u64) -> (Arc<str>, Arc<str>) {
+        match &st.jobs[&id].phase {
+            Phase::Terminal(t) => (Arc::clone(&t.digest), Arc::clone(&t.verilog)),
+            phase => panic!("job {id} not terminal: {phase:?}"),
+        }
+    }
+
+    fn queued(st: &mut State, id: u64) {
+        let spec = JobSpec {
+            id,
+            source: format!("module m{id}; endmodule"),
+            level: "full".to_string(),
+            timeout_ms: 0,
+            verify: false,
+        };
+        let phase = Phase::Queued;
+        st.jobs.insert(id, JobEntry { spec, phase });
+    }
+
+    #[test]
+    fn equal_completions_share_one_allocation() {
+        let mut st = State::default();
+        for id in 1..=3 {
+            queued(&mut st, id);
+            let outcome = RunOutcome::Done {
+                // two jobs with equal output, one with its own
+                digest: format!("digest-{}", id / 2),
+                verilog: format!("module m; // {}\nendmodule\n", id / 2),
+                modules_poisoned: 0,
+            };
+            let terminal = completed(&mut st, Ok(outcome));
+            finish_job(&mut st, id, terminal);
+        }
+        let (d2, v2) = digest_and_verilog(&st, 2);
+        let (d3, v3) = digest_and_verilog(&st, 3);
+        let (d1, v1) = digest_and_verilog(&st, 1);
+        assert!(Arc::ptr_eq(&d2, &d3) && Arc::ptr_eq(&v2, &v3));
+        assert!(!Arc::ptr_eq(&d1, &d2) && &*d1 == "digest-0");
+        assert!(!Arc::ptr_eq(&v1, &v2));
+        assert_eq!(&*v3, "module m; // 1\nendmodule\n");
+        assert_eq!(st.texts.len(), 4);
+    }
+
+    #[test]
+    fn replayed_completions_are_interned() {
+        let mut st = State::default();
+        for id in 1..=2 {
+            st.restore(Record::Accepted {
+                id,
+                source: "module m; endmodule".to_string(),
+                level: "full".to_string(),
+                timeout_ms: 0,
+                verify: false,
+            });
+            st.restore(Record::Completed {
+                id,
+                status: JobStatus::Done,
+                digest: "same digest".to_string(),
+                error: String::new(),
+                verilog: "same verilog".to_string(),
+                modules_poisoned: 0,
+            });
+        }
+        let (d1, v1) = digest_and_verilog(&st, 1);
+        let (d2, v2) = digest_and_verilog(&st, 2);
+        assert!(Arc::ptr_eq(&d1, &d2) && Arc::ptr_eq(&v1, &v2));
+
+        // a live completion after replay joins the replayed copy
+        queued(&mut st, 3);
+        let outcome = RunOutcome::Done {
+            digest: "same digest".to_string(),
+            verilog: "same verilog".to_string(),
+            modules_poisoned: 0,
+        };
+        let terminal = completed(&mut st, Ok(outcome));
+        finish_job(&mut st, 3, terminal);
+        let (d3, v3) = digest_and_verilog(&st, 3);
+        assert!(Arc::ptr_eq(&d1, &d3) && Arc::ptr_eq(&v1, &v3));
     }
 }

@@ -110,10 +110,10 @@ impl Program {
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic combinational
-/// logic (via [`Module::topo_order`]).
+/// logic (via [`Module::topo_order_with`]).
 pub fn compile(module: &Module) -> Result<Program, NetlistError> {
     let index = NetIndex::build(module);
-    let order = module.topo_order()?;
+    let order = module.topo_order_with(&index)?;
 
     struct SlotAlloc {
         slot_of: HashMap<SigBit, u32>,
@@ -976,7 +976,7 @@ mod tests {
         let y = m.or(&ab, &c);
         m.add_output("y", &y);
         let index = NetIndex::build(&m);
-        let cells: Vec<_> = m.topo_order().unwrap();
+        let cells: Vec<_> = m.topo_order_with(&index).unwrap();
         let prog = compile_cone(&m, &index, &cells);
         assert!(!prog.has_x());
         assert_eq!(prog.op_count(), 2);
@@ -1010,7 +1010,7 @@ mod tests {
         let y = m.or(&a, &x);
         m.add_output("y", &y);
         let index = NetIndex::build(&m);
-        let cells: Vec<_> = m.topo_order().unwrap();
+        let cells: Vec<_> = m.topo_order_with(&index).unwrap();
         let prog = compile_cone(&m, &index, &cells);
         assert!(prog.has_x());
     }
