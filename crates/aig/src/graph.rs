@@ -85,14 +85,9 @@ impl Aig {
         }
     }
 
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// The creation-order ordinal of an input node, if `node` is one.
-    pub fn input_ordinal(&self, node: u32) -> Option<usize> {
-        self.inputs.binary_search(&node).ok()
+    /// Node indices of the primary inputs, in creation order.
+    pub fn inputs(&self) -> &[u32] {
+        &self.inputs
     }
 
     /// Total node count (constant + inputs + ANDs).
