@@ -214,27 +214,12 @@ pub struct SatPassStats {
     pub solver_reduces: u64,
     /// Compacting clause-arena garbage collections.
     pub solver_arena_gcs: u64,
-    /// Restart rephasings applied (all kinds).
-    pub solver_rephases: u64,
-    /// Rephasings that restored the best-phase snapshot.
-    pub solver_rephase_best: u64,
-    /// Rephasings that inverted the best-phase snapshot.
-    pub solver_rephase_inverted: u64,
-    /// Rephasings that restored the original default phases.
-    pub solver_rephase_original: u64,
+    /// Restarts forced by the solver's EMA controller.
+    pub solver_restarts: u64,
     /// Cooperative-deadline polls inside the solver's search loop
     /// (`checks × interval` bounds the conflicts a solve ran past its
     /// deadline — the interruption latency).
     pub solver_deadline_checks: u64,
-    /// Restarts forced by the solver's EMA controller.
-    pub solver_ema_forced: u64,
-    /// Pending EMA restarts suppressed by a deep trail.
-    pub solver_ema_blocked: u64,
-    /// Conflicts resolved by a chronological (one-level) backtrack.
-    pub solver_chrono_backjumps: u64,
-    /// Learnt clauses promoted into a better tier by on-the-fly LBD
-    /// recomputation.
-    pub solver_promoted: u64,
     /// Per-layer latency and per-SAT-call work distributions (timing
     /// JSON only — never digest material).
     pub profile: FunnelProfile,
@@ -247,21 +232,14 @@ impl SatPassStats {
     /// one format string instead of three.
     pub fn solver_summary(&self) -> String {
         format!(
-            "{} conflicts, {} propagations, {} learnts ({} core, {} promoted), {} reduces, {} arena-gcs, {} restarts forced/{} blocked, {} chrono, {} rephases (best {}/inv {}/orig {}), {} resets",
+            "{} conflicts, {} propagations, {} learnts ({} core), {} reduces, {} arena-gcs, {} restarts, {} resets",
             self.solver_conflicts,
             self.solver_propagations,
             self.solver_learnts,
             self.solver_lbd_core,
-            self.solver_promoted,
             self.solver_reduces,
             self.solver_arena_gcs,
-            self.solver_ema_forced,
-            self.solver_ema_blocked,
-            self.solver_chrono_backjumps,
-            self.solver_rephases,
-            self.solver_rephase_best,
-            self.solver_rephase_inverted,
-            self.solver_rephase_original,
+            self.solver_restarts,
             self.solver_resets,
         )
     }
@@ -298,15 +276,8 @@ impl SatPassStats {
         self.solver_lbd_core += o.solver_lbd_core;
         self.solver_reduces += o.solver_reduces;
         self.solver_arena_gcs += o.solver_arena_gcs;
-        self.solver_rephases += o.solver_rephases;
-        self.solver_rephase_best += o.solver_rephase_best;
-        self.solver_rephase_inverted += o.solver_rephase_inverted;
-        self.solver_rephase_original += o.solver_rephase_original;
+        self.solver_restarts += o.solver_restarts;
         self.solver_deadline_checks += o.solver_deadline_checks;
-        self.solver_ema_forced += o.solver_ema_forced;
-        self.solver_ema_blocked += o.solver_ema_blocked;
-        self.solver_chrono_backjumps += o.solver_chrono_backjumps;
-        self.solver_promoted += o.solver_promoted;
         self.profile.absorb(&o.profile);
     }
 }
@@ -655,15 +626,8 @@ pub fn sat_redundancy_with(
         stats.solver_lbd_core = es.solver.lbd_core;
         stats.solver_reduces = es.solver.reduces;
         stats.solver_arena_gcs = es.solver.arena_gcs;
-        stats.solver_rephases = es.solver.rephases;
-        stats.solver_rephase_best = es.solver.rephase_best;
-        stats.solver_rephase_inverted = es.solver.rephase_inverted;
-        stats.solver_rephase_original = es.solver.rephase_original;
+        stats.solver_restarts = es.solver.restarts;
         stats.solver_deadline_checks = es.solver.deadline_checks;
-        stats.solver_ema_forced = es.solver.ema_forced;
-        stats.solver_ema_blocked = es.solver.ema_blocked;
-        stats.solver_chrono_backjumps = es.solver.chrono_backjumps;
-        stats.solver_promoted = es.solver.promoted;
         stats.profile = es.profile;
         ctx.memo = eng.into_memo();
     }

@@ -322,7 +322,7 @@ fn run_knowledge_bench(
 
 /// Runs the CDCL stress design once at `SatOnly`: every cone's mux
 /// select is an adder-commutativity miter whose UNSAT side needs real
-/// conflict-driven search, so the solver's tier/reduction/GC/rephasing
+/// conflict-driven search, so the solver's tier/reduction/GC/restart
 /// machinery demonstrably fires on a corpus run (cold state; a warm
 /// knowledge file answers these queries from disk instead).
 fn run_solver_bench(

@@ -464,8 +464,7 @@ pub(crate) fn funnel_counters(s: &SatPassStats) -> Counters {
     c
 }
 
-/// The CDCL solver's flat counters as a registry (the nested
-/// `rephase_kind` breakdown stays structural in [`solver_json`]).
+/// The CDCL solver's counters as a registry.
 pub(crate) fn solver_counters(s: &SatPassStats) -> Counters {
     let mut c = Counters::new();
     c.add("conflicts", s.solver_conflicts)
@@ -474,12 +473,8 @@ pub(crate) fn solver_counters(s: &SatPassStats) -> Counters {
         .add("lbd_core", s.solver_lbd_core)
         .add("reduces", s.solver_reduces)
         .add("arena_gcs", s.solver_arena_gcs)
-        .add("rephases", s.solver_rephases)
-        .add("deadline_checks", s.solver_deadline_checks)
-        .add("ema_forced", s.solver_ema_forced)
-        .add("ema_blocked", s.solver_ema_blocked)
-        .add("chrono_backjumps", s.solver_chrono_backjumps)
-        .add("promoted", s.solver_promoted);
+        .add("restarts", s.solver_restarts)
+        .add("deadline_checks", s.solver_deadline_checks);
     c
 }
 
@@ -534,11 +529,6 @@ pub(crate) fn funnel_hist_json(p: &FunnelProfile) -> Json {
 /// though its conclusive verdicts never do).
 pub(crate) fn solver_json(s: &SatPassStats) -> Json {
     let mut solver = counters_json(&solver_counters(s));
-    let mut kinds = Json::object();
-    kinds.set("best", Json::UInt(s.solver_rephase_best));
-    kinds.set("inverted", Json::UInt(s.solver_rephase_inverted));
-    kinds.set("original", Json::UInt(s.solver_rephase_original));
-    solver.set("rephase_kind", kinds);
     solver.set("resets", Json::UInt(s.solver_resets as u64));
     solver
 }

@@ -188,13 +188,8 @@ fn module_timing_json_schema_snapshot() {
             "lbd_core",
             "reduces",
             "arena_gcs",
-            "rephases",
+            "restarts",
             "deadline_checks",
-            "ema_forced",
-            "ema_blocked",
-            "chrono_backjumps",
-            "promoted",
-            "rephase_kind",
             "resets",
         ]
     );

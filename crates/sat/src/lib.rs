@@ -15,14 +15,10 @@
 //! * first-UIP conflict analysis with deep conflict-clause minimization
 //!   (MiniSAT 1.13's headline feature),
 //! * an **LBD-tiered learnt database** (core / tier2 / local, glucose
-//!   style) with periodic reduction,
-//! * best-phase saving plus **aspiration rephasing** (a CaDiCaL-style
-//!   best/inverted/original schedule at restarts),
+//!   style, tiers fixed at learn time) with periodic reduction,
+//! * phase saving (MiniSAT's polarity cache),
 //! * **EMA-adaptive restarts** (Glucose-style fast/slow LBD averages
-//!   force restarts, a trail-depth average blocks them) with
-//!   chronological backtracking on very long backjumps,
-//! * on-the-fly LBD recomputation during conflict analysis, promoting
-//!   improving learnt clauses into better tiers,
+//!   force a restart when recent learnt clauses turn bad),
 //! * solving under assumptions and an optional conflict budget (the paper
 //!   bounds SAT effort with a threshold; [`Solver::set_conflict_budget`]
 //!   is the hook for that),
@@ -63,7 +59,6 @@
 
 pub mod codec;
 pub mod deadline;
-pub mod dimacs;
 mod heap;
 pub mod json;
 mod solver;
@@ -71,7 +66,6 @@ pub mod tseitin;
 
 pub use codec::{fnv64, ByteReader, ByteWriter, CodecError};
 pub use deadline::Deadline;
-pub use dimacs::{parse_dimacs, write_dimacs, DimacsProblem, ParseDimacsError};
 pub use solver::{SolveResult, Solver, SolverStats, DEADLINE_CHECK_INTERVAL};
 pub use tseitin::TseitinEncoder;
 
@@ -84,8 +78,8 @@ pub struct Var(pub(crate) u32);
 impl Var {
     /// Builds a variable from its 0-based index.
     ///
-    /// Useful with [`dimacs`] and for addressing variables allocated in a
-    /// known order; solving with a variable never allocated through
+    /// Useful for addressing variables allocated in a known order;
+    /// solving with a variable never allocated through
     /// [`Solver::new_var`] panics.
     pub fn from_index(index: usize) -> Var {
         Var(index as u32)

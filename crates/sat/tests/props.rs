@@ -188,28 +188,3 @@ fn encoder_matches_reference() {
         assert_eq!(enc.solve_with(&asms), SolveResult::Unsat);
     }
 }
-
-/// DIMACS write/parse round-trips preserve satisfiability.
-#[test]
-fn dimacs_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0x7361_7470_726f_7004);
-    for _ in 0..CASES {
-        let nvars = 7;
-        let clauses = random_clauses(&mut rng, nvars);
-        let lit_clauses: Vec<Vec<Lit>> = clauses
-            .iter()
-            .map(|c| c.iter().map(|&l| lit_of(l)).collect())
-            .collect();
-        let text = smartly_sat::write_dimacs(nvars, &lit_clauses);
-        let mut parsed = smartly_sat::parse_dimacs(&text).expect("round-trips");
-        let expected = brute_force_sat(nvars, &clauses);
-        assert_eq!(
-            parsed.solver.solve(),
-            if expected {
-                SolveResult::Sat
-            } else {
-                SolveResult::Unsat
-            }
-        );
-    }
-}

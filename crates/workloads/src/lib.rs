@@ -120,7 +120,7 @@ pub fn knowledge_probes(variants: usize, cones: usize, and_width: u32) -> Vec<Mo
 /// One module holds all `cones`: the corpus runner uses this as the
 /// timing-only solver bench exercising the learnt-clause tiers
 /// (`lbd_core`), `reduce_db` (`reduces`), arena compaction
-/// (`arena_gcs`) and aspiration rephasing on a real query stream.
+/// (`arena_gcs`) and EMA restarts (`restarts`) on a real query stream.
 pub fn solver_stress(cones: usize, bits: u32) -> Vec<Module> {
     let mut m = Module::new("solver_stress");
     for c in 0..cones {

@@ -55,7 +55,7 @@ USAGE:
                                      optimize a scratch copy and print
                                      the per-design CDCL solver summary
                                      (conflicts, learnt tiers, reduces,
-                                     arena GCs, rephase histogram)
+                                     arena GCs, restarts)
   smartly corpus [OPTIONS]           run the public workload suite and
                                      print a Table-III-style summary
   smartly trace <trace.json>         validate an exported span trace and
