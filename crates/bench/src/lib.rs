@@ -1,5 +1,4 @@
-//! Shared harness code for the table-reproducing binaries and the
-//! Criterion benches.
+//! Shared harness code for the table-reproducing binaries.
 //!
 //! Each binary regenerates one artifact of the paper's evaluation:
 //!

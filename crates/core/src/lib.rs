@@ -5,9 +5,10 @@
 //! Optimization with Logic Inferencing and Structural Rebuilding"*
 //! (DAC 2025) on top of the workspace substrates:
 //!
-//! * [`sat_redundancy`] (paper §II) — traverses multiplexer trees with a
-//!   path condition, builds a bounded *sub-graph* around each undecided
-//!   control bit ([`subgraph`]), prunes it with the Theorem II.1
+//! * [`sat_redundancy`] (paper §II) — runs the baseline's mux-tree walk
+//!   ([`smartly_opt::walk_muxtrees`]) with a stronger resolver: it builds
+//!   a bounded *sub-graph* around each control bit the path condition
+//!   leaves undecided ([`subgraph`]), prunes it with the Theorem II.1
 //!   influence criterion, propagates the Table I [`inference`] rules, and
 //!   decides the bit with exhaustive simulation or a CDCL SAT solver
 //!   ([`decide`]). A decided select pins to a constant and the mux

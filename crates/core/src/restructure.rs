@@ -4,7 +4,9 @@
 //! selects are `eq`-against-constant comparisons of a *single* control
 //! bus. This pass
 //!
-//! 1. finds such trees (`OnlyEq` ∧ `SingleCtrl`),
+//! 1. finds such trees (`OnlyEq` ∧ `SingleCtrl`), where a `mux` belongs to
+//!    its parent's tree by the membership rule every mux-tree pass shares
+//!    ([`smartly_opt::slot_child`]),
 //! 2. collects the priority `pattern → leaf` rules into a complete
 //!    function table over the control bits,
 //! 3. builds an ADD with the greedy terminal-minimizing bit order
@@ -16,6 +18,7 @@
 
 use smartly_add::{Add, AddRef, FunctionTable};
 use smartly_netlist::{CellId, CellKind, Module, NetIndex, Port, SigBit, SigSpec, TriVal};
+use smartly_opt::{muxtree_roots, slot_child};
 use std::collections::{HashMap, HashSet};
 
 /// Configuration for [`restructure`].
@@ -99,36 +102,7 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
     let mut stats = RestructureStats::default();
     let index = NetIndex::build(module);
 
-    let mux_cells: Vec<CellId> = module
-        .cells()
-        .filter(|(_, c)| c.kind == CellKind::Mux)
-        .map(|(id, _)| id)
-        .collect();
-    let mux_set: HashSet<CellId> = mux_cells.iter().copied().collect();
-
-    let exclusive_child = |id: CellId| -> bool {
-        let cell = module.cell(id).expect("live mux");
-        let mut sinks_seen = 0usize;
-        for bit in cell.output().iter() {
-            for sink in index.fanout(index.canon(*bit)) {
-                match &sink.consumer {
-                    smartly_netlist::Consumer::Cell(c)
-                        if mux_set.contains(c) && matches!(sink.port, Port::A | Port::B) =>
-                    {
-                        sinks_seen += 1;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        sinks_seen == cell.output().width()
-    };
-
-    let roots: Vec<CellId> = mux_cells
-        .iter()
-        .copied()
-        .filter(|&id| !exclusive_child(id))
-        .collect();
+    let roots = muxtree_roots(module, &index, |kind| kind == CellKind::Mux);
 
     // pmux cells are single-level candidates of their own
     let pmux_roots: Vec<CellId> = module
@@ -149,7 +123,7 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         let collected = if is_pmux {
             collect_pmux(module, &index, root, options)
         } else {
-            collect_tree(module, &index, root, &mux_set, options)
+            collect_tree(module, &index, root, options)
         };
         let Some(collected) = collected else {
             continue;
@@ -403,7 +377,6 @@ fn collect_tree(
     module: &Module,
     index: &NetIndex,
     root: CellId,
-    mux_set: &HashSet<CellId>,
     options: &RestructureOptions,
 ) -> Option<Collected> {
     let mut universe: Vec<SigBit> = Vec::new();
@@ -411,29 +384,10 @@ fn collect_tree(
     let mut sel_cells: Vec<CellId> = Vec::new();
     let width = module.cell(root)?.output().width();
 
-    // a child is followed only when it is a mux exclusively feeding us
-    let exclusive_mux_driver = |spec: &SigSpec| -> Option<CellId> {
-        let first = index.driver(index.canon(spec.bit(0)))?;
-        let cell = module.cell(first.cell)?;
-        if cell.kind != CellKind::Mux || !mux_set.contains(&first.cell) {
-            return None;
-        }
-        if cell.output().width() != spec.width() || first.offset != 0 {
-            return None;
-        }
-        for (k, bit) in spec.iter().enumerate() {
-            let d = index.driver(index.canon(*bit))?;
-            if d.cell != first.cell || d.offset as usize != k {
-                return None;
-            }
-        }
-        // exclusivity: every sink of the child is this single consumption
-        let sink_count: usize = cell
-            .output()
-            .iter()
-            .map(|b| index.fanout(index.canon(*b)).len())
-            .sum();
-        (sink_count == cell.output().width()).then_some(first.cell)
+    // a child is followed only when it is a mux its slot owns
+    let mux_child = |spec: &SigSpec| -> Option<CellId> {
+        slot_child(module, index, spec.bits())
+            .filter(|&c| module.cell(c).is_some_and(|c| c.kind == CellKind::Mux))
     };
 
     #[allow(clippy::too_many_arguments)]
@@ -444,7 +398,7 @@ fn collect_tree(
         universe: &mut Vec<SigBit>,
         mux_cells: &mut Vec<CellId>,
         sel_cells: &mut Vec<CellId>,
-        exclusive_mux_driver: &dyn Fn(&SigSpec) -> Option<CellId>,
+        mux_child: &dyn Fn(&SigSpec) -> Option<CellId>,
         cap: u32,
         depth: usize,
     ) -> Option<Tree> {
@@ -460,7 +414,7 @@ fn collect_tree(
         mux_cells.push(id);
         let a_spec = cell.port(Port::A)?.clone();
         let b_spec = cell.port(Port::B)?.clone();
-        let then_branch = match exclusive_mux_driver(&b_spec) {
+        let then_branch = match mux_child(&b_spec) {
             Some(child) => walk(
                 module,
                 index,
@@ -468,13 +422,13 @@ fn collect_tree(
                 universe,
                 mux_cells,
                 sel_cells,
-                exclusive_mux_driver,
+                mux_child,
                 cap,
                 depth + 1,
             )?,
             None => Tree::Leaf(canon_spec(index, &b_spec)),
         };
-        let else_branch = match exclusive_mux_driver(&a_spec) {
+        let else_branch = match mux_child(&a_spec) {
             Some(child) => walk(
                 module,
                 index,
@@ -482,7 +436,7 @@ fn collect_tree(
                 universe,
                 mux_cells,
                 sel_cells,
-                exclusive_mux_driver,
+                mux_child,
                 cap,
                 depth + 1,
             )?,
@@ -503,7 +457,7 @@ fn collect_tree(
         &mut universe,
         &mut mux_cells,
         &mut sel_cells,
-        &exclusive_mux_driver,
+        &mux_child,
         options.max_ctrl_width,
         0,
     )?;

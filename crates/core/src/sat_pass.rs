@@ -1,10 +1,13 @@
 //! SAT-based redundancy elimination (paper §II).
 //!
-//! Traverses multiplexer trees exactly like the Yosys baseline, but when a
-//! select is *not* textually decided by an ancestor it asks the full
-//! machinery — sub-graph extraction, Theorem II.1 pruning, Table I
-//! inference, then exhaustive simulation or SAT — whether the path
-//! condition forces its value. Decided selects are pinned to constants;
+//! The sweep runs the Yosys baseline's own mux-tree walk
+//! ([`smartly_opt::walk_muxtrees`]): the same tree membership, visit
+//! order, path conditions and data-port rewrites. It differs only in the
+//! resolver. When a select is *not* textually decided by an ancestor, it
+//! asks the full machinery — sub-graph extraction, Theorem II.1 pruning,
+//! Table I inference, then the [`QueryEngine`] funnel (or exhaustive
+//! simulation or SAT per query) — whether the path condition forces its
+//! value. Decided selects are pinned to constants;
 //! [`smartly_opt::clean_pipeline`] then collapses the dead branches.
 
 use crate::decide::{decide, DecideOptions, Decision, Engine};
@@ -14,9 +17,10 @@ use crate::query_engine::{
     VerdictMemo,
 };
 use crate::subgraph::{extract_cached, ConeCache, SubgraphStats};
-use smartly_netlist::{CellId, CellKind, Module, NetIndex, Port, SigBit, SigSpec, TriVal};
+use smartly_netlist::{CellId, Module, NetIndex};
+use smartly_opt::{apply_pins, walk_muxtrees};
 use smartly_sat::Deadline;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration for [`sat_redundancy`].
@@ -314,59 +318,8 @@ pub fn sat_redundancy_with(
     };
     let ranks: HashMap<CellId, usize> = topo.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
 
-    let mux_cells: Vec<CellId> = module
-        .cells()
-        .filter(|(_, c)| matches!(c.kind, CellKind::Mux | CellKind::Pmux))
-        .map(|(id, _)| id)
-        .collect();
-    let mux_set: HashSet<CellId> = mux_cells.iter().copied().collect();
-
-    let exclusive_child = |id: CellId| -> bool {
-        let cell = module.cell(id).expect("live mux");
-        let mut parents: HashSet<(CellId, Port)> = HashSet::new();
-        for bit in cell.output().iter() {
-            for sink in index.fanout(index.canon(*bit)) {
-                match &sink.consumer {
-                    smartly_netlist::Consumer::Cell(c)
-                        if mux_set.contains(c) && matches!(sink.port, Port::A | Port::B) =>
-                    {
-                        parents.insert((*c, sink.port));
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        parents.len() == 1
-    };
-
-    let driver_mux = |spec: &SigSpec| -> Option<CellId> {
-        let first = index.driver(index.canon(spec.bit(0)))?;
-        let cell = module.cell(first.cell)?;
-        if !matches!(cell.kind, CellKind::Mux | CellKind::Pmux) {
-            return None;
-        }
-        if cell.output().width() != spec.width() || first.offset != 0 {
-            return None;
-        }
-        for (k, bit) in spec.iter().enumerate() {
-            let d = index.driver(index.canon(*bit))?;
-            if d.cell != first.cell || d.offset as usize != k {
-                return None;
-            }
-        }
-        Some(first.cell)
-    };
-
-    let roots: Vec<CellId> = mux_cells
-        .iter()
-        .copied()
-        .filter(|&id| !exclusive_child(id))
-        .collect();
-
     let mut stats = SatPassStats::default();
-    let mut pins: Vec<(CellId, Port, usize, TriVal)> = Vec::new();
-    let mut visited: HashSet<CellId> = HashSet::new();
-    let cone_cache = std::cell::RefCell::new(ConeCache::new());
+    let mut cone_cache = ConeCache::new();
     let decide_opts = DecideOptions {
         sim_threshold: options.sim_threshold,
         sat_threshold: options.sat_threshold,
@@ -375,7 +328,7 @@ pub fn sat_redundancy_with(
     // the stateful query funnel (one per sweep; the netlist is immutable
     // until the pins are applied at the end), seeded from the context's
     // carried memo and shared bank
-    let engine: Option<std::cell::RefCell<QueryEngine>> = if options.incremental {
+    let mut engine = options.incremental.then(|| {
         let mut eng = QueryEngine::with_state(
             module,
             &index,
@@ -392,230 +345,86 @@ pub fn sat_redundancy_with(
         );
         eng.set_trace(ctx.trace.clone());
         eng.set_deadline(ctx.deadline.clone());
-        Some(std::cell::RefCell::new(eng))
-    } else {
-        None
-    };
+        eng
+    });
 
-    // resolve a select bit's value under the path condition
-    let resolve_select =
-        |bit: SigBit, known: &HashMap<SigBit, bool>, stats: &mut SatPassStats| -> Option<bool> {
-            let c = index.canon(bit);
-            if let SigBit::Const(v) = c {
-                return v.to_bool();
+    // decide a select bit the path condition leaves open: extraction,
+    // Table I inference, then the funnel (or a fresh decide per query)
+    let pins = walk_muxtrees(module, &index, |sel, known| {
+        if stats.queries >= options.max_queries {
+            return None;
+        }
+        stats.queries += 1;
+        let (sub, sg_stats) = extract_cached(
+            module,
+            &index,
+            &ranks,
+            sel,
+            known,
+            options.k,
+            options.prune,
+            options.measure_gather,
+            &mut cone_cache,
+        );
+        stats.absorb_subgraph(sg_stats);
+        if sub.cells.len() > options.max_subgraph_cells {
+            return None; // too large: forgo the query (paper threshold)
+        }
+        let mut assign = known.clone();
+        if options.inference {
+            match propagate(module, &index, &sub, &mut assign) {
+                InferOutcome::Contradiction => {
+                    stats.unreachable += 1;
+                    return Some(false); // unreachable path: any value is sound
+                }
+                InferOutcome::Fixpoint { .. } => {}
             }
-            if let Some(&v) = known.get(&c) {
+            if let Some(&v) = assign.get(&sel) {
+                stats.by_inference += 1;
                 return Some(v);
             }
-            if stats.queries >= options.max_queries {
-                return None;
-            }
-            stats.queries += 1;
-            let (sub, sg_stats) = extract_cached(
-                module,
-                &index,
-                &ranks,
-                c,
-                known,
-                options.k,
-                options.prune,
-                options.measure_gather,
-                &mut cone_cache.borrow_mut(),
-            );
-            stats.absorb_subgraph(sg_stats);
-            if sub.cells.len() > options.max_subgraph_cells {
-                return None; // too large: forgo the query (paper threshold)
-            }
-            let mut assign: HashMap<SigBit, bool> =
-                known.iter().map(|(b, v)| (index.canon(*b), *v)).collect();
-            if options.inference {
-                match propagate(module, &index, &sub, &mut assign) {
-                    InferOutcome::Contradiction => {
-                        stats.unreachable += 1;
-                        return Some(false); // unreachable path: any value is sound
-                    }
-                    InferOutcome::Fixpoint { .. } => {}
-                }
-                if let Some(&v) = assign.get(&c) {
-                    stats.by_inference += 1;
-                    return Some(v);
-                }
-            }
-            let (d, engine_used) = match &engine {
-                Some(e) => {
-                    let (d, layer) = e.borrow_mut().decide(&sub, &assign);
-                    match layer {
-                        Layer::Memo => stats.by_memo += 1,
-                        // by_disk_verdict is copied from the engine's
-                        // cumulative stats at the end of the sweep
-                        Layer::DesignVerdict => {}
-                        Layer::CexReplay => stats.by_cex += 1,
-                        Layer::SharedCex => stats.by_shared_cex += 1,
-                        Layer::Prefilter => stats.by_prefilter += 1,
-                        _ => {}
-                    }
-                    let mapped = match layer {
-                        Layer::Simulation => Engine::Simulation,
-                        Layer::Sat => Engine::Sat,
-                        _ => Engine::None,
-                    };
-                    (d, mapped)
-                }
-                None => decide(module, &index, &sub, &assign, &decide_opts),
-            };
-            match d {
-                Decision::Const(v) => {
-                    match engine_used {
-                        Engine::Simulation => stats.by_sim += 1,
-                        Engine::Sat => stats.by_sat += 1,
-                        Engine::None => {}
-                    }
-                    Some(v)
-                }
-                Decision::Unreachable => {
-                    stats.unreachable += 1;
-                    Some(false)
-                }
-                Decision::Unknown | Decision::Skipped => None,
-            }
-        };
-
-    // iterative DFS over the tree forest
-    struct Frame {
-        cell: CellId,
-        known: HashMap<SigBit, bool>,
-    }
-    let mut stack: Vec<Frame> = roots
-        .iter()
-        .map(|&cell| Frame {
-            cell,
-            known: HashMap::new(),
-        })
-        .collect();
-
-    while let Some(Frame { cell: id, known }) = stack.pop() {
-        if !visited.insert(id) {
-            continue;
         }
-        let cell = module.cell(id).expect("live mux").clone();
-        let a_spec = cell.port(Port::A).expect("mux A").clone();
-        let b_spec = cell.port(Port::B).expect("mux B").clone();
-        let s_spec = cell.port(Port::S).expect("mux S").clone();
-        let w = cell.output().width();
-
-        // data-port rewriting under direct path knowledge (paper Fig. 2)
-        for (port, spec) in [(Port::A, &a_spec), (Port::B, &b_spec)] {
-            for (k, bit) in spec.iter().enumerate() {
-                if let Some(&v) = known.get(&index.canon(*bit)) {
-                    pins.push((id, port, k, TriVal::from_bool(v)));
-                    stats.rewrites += 1;
-                }
-            }
-        }
-
-        match cell.kind {
-            CellKind::Mux => {
-                let s = index.canon(s_spec.bit(0));
-                let decided = if s.is_const() {
-                    s.as_const().and_then(|v| v.to_bool())
-                } else {
-                    let r = resolve_select(s, &known, &mut stats);
-                    if let Some(v) = r {
-                        pins.push((id, Port::S, 0, TriVal::from_bool(v)));
-                        stats.rewrites += 1;
-                    }
-                    r
+        let (d, engine_used) = match &mut engine {
+            Some(e) => {
+                let (d, layer) = e.decide(&sub, &assign);
+                let used = match layer {
+                    Layer::Simulation => Engine::Simulation,
+                    Layer::Sat => Engine::Sat,
+                    _ => Engine::None,
                 };
-                match decided {
-                    Some(v) => {
-                        let live = if v { &b_spec } else { &a_spec };
-                        if let Some(child) = driver_mux(live) {
-                            if exclusive_child(child) {
-                                stack.push(Frame {
-                                    cell: child,
-                                    known: known.clone(),
-                                });
-                            }
-                        }
-                    }
-                    None => {
-                        for (branch, val) in [(&a_spec, false), (&b_spec, true)] {
-                            if let Some(child) = driver_mux(branch) {
-                                if exclusive_child(child) {
-                                    let mut k2 = known.clone();
-                                    if !s.is_const() {
-                                        k2.insert(s, val);
-                                    }
-                                    stack.push(Frame {
-                                        cell: child,
-                                        known: k2,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+                (d, used)
             }
-            CellKind::Pmux => {
-                let n = s_spec.width();
-                let mut sel_bits: Vec<SigBit> = Vec::with_capacity(n);
-                for i in 0..n {
-                    let sb = index.canon(s_spec.bit(i));
-                    if !sb.is_const() {
-                        if let Some(v) = resolve_select(sb, &known, &mut stats) {
-                            pins.push((id, Port::S, i, TriVal::from_bool(v)));
-                            stats.rewrites += 1;
-                        }
-                    }
-                    sel_bits.push(sb);
+            None => decide(module, &index, &sub, &assign, &decide_opts),
+        };
+        match d {
+            Decision::Const(v) => {
+                match engine_used {
+                    Engine::Simulation => stats.by_sim += 1,
+                    Engine::Sat => stats.by_sat += 1,
+                    Engine::None => {}
                 }
-                // default branch: all selects 0
-                if let Some(child) = driver_mux(&a_spec) {
-                    if exclusive_child(child) {
-                        let mut k2 = known.clone();
-                        for sb in &sel_bits {
-                            if !sb.is_const() {
-                                k2.insert(*sb, false);
-                            }
-                        }
-                        stack.push(Frame {
-                            cell: child,
-                            known: k2,
-                        });
-                    }
-                }
-                for i in 0..n {
-                    let word = b_spec.slice(i * w, w);
-                    if let Some(child) = driver_mux(&word) {
-                        if exclusive_child(child) {
-                            let mut k2 = known.clone();
-                            for sb in sel_bits.iter().take(i) {
-                                if !sb.is_const() {
-                                    k2.insert(*sb, false);
-                                }
-                            }
-                            if !sel_bits[i].is_const() {
-                                k2.insert(sel_bits[i], true);
-                            }
-                            stack.push(Frame {
-                                cell: child,
-                                known: k2,
-                            });
-                        }
-                    }
-                }
+                Some(v)
             }
-            _ => unreachable!("only mux-like cells are traversed"),
+            Decision::Unreachable => {
+                stats.unreachable += 1;
+                Some(false)
+            }
+            Decision::Unknown | Decision::Skipped => None,
         }
-    }
+    });
+    stats.rewrites = pins.len();
 
-    // fold the engine's telemetry into the sweep stats and hand the memo
-    // back to the context, releasing the netlist borrow before mutation
-    if let Some(e) = engine {
-        let eng = e.into_inner();
+    // fold the engine's telemetry into the sweep stats (each funnel layer
+    // is counted once, by the engine) and hand the memo back to the
+    // context, releasing the netlist borrow before mutation
+    if let Some(eng) = engine {
         let es = eng.stats();
+        stats.by_memo = es.by_memo;
         stats.memo_carryover = es.memo_carryover;
         stats.by_disk_verdict = es.by_disk_verdict;
+        stats.by_cex = es.by_cex;
+        stats.by_shared_cex = es.by_shared_cex;
+        stats.by_prefilter = es.by_prefilter;
         stats.verdicts_published = es.verdicts_published;
         stats.prefilter_rounds = es.prefilter_rounds;
         stats.bank_evictions = es.bank_evictions;
@@ -631,19 +440,14 @@ pub fn sat_redundancy_with(
         stats.profile = es.profile;
         ctx.memo = eng.into_memo();
     }
-    for (id, port, offset, value) in pins {
-        if let Some(cell) = module.cell_mut(id) {
-            if let Some(spec) = cell.port_mut(port) {
-                spec.bits_mut()[offset] = SigBit::Const(value);
-            }
-        }
-    }
+    apply_pins(module, &pins);
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartly_netlist::SigSpec;
     use smartly_opt::clean_pipeline;
 
     fn fig3() -> Module {

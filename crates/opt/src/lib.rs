@@ -6,7 +6,9 @@
 //! * [`opt_muxtree`] — the *baseline*: traverses multiplexer trees
 //!   monitoring visited control ports and eliminates never-active branches
 //!   when a select is decided by an **identical** ancestor signal (paper
-//!   Figs. 1–2). SmaRTLy's SAT pass strictly generalizes this.
+//!   Figs. 1–2). The walk itself is [`walk_muxtrees`]; smaRTLy's SAT pass
+//!   runs the same walk with a stronger resolver, one that proves a
+//!   select constant under the path condition.
 //! * [`opt_const`] — constant folding / pass-through collapsing (the
 //!   `opt_expr` analogue); it is what actually deletes a mux once a pass
 //!   pins its select.
@@ -28,7 +30,9 @@ mod muxtree;
 pub use clean::{opt_clean, CleanOptions};
 pub use const_fold::opt_const;
 pub use merge::opt_merge;
-pub use muxtree::opt_muxtree;
+pub use muxtree::{
+    apply_pins, muxtree_roots, opt_muxtree, slot_child, walk_muxtrees, PathCondition, Pin,
+};
 
 use smartly_netlist::Module;
 

@@ -122,3 +122,45 @@ fn chain_and_pmux_lowering_are_equivalent() {
         );
     }
 }
+
+/// Two `case` arms read the same mux `t`, whose select `s == 2'b01` is 1
+/// on the first arm's path and 0 on the second's. Elaborated as one
+/// `pmux`, `t` belongs to neither arm, so no pass may pin its select.
+#[test]
+fn pmux_arms_sharing_a_mux_stay_equivalent() {
+    use smartly_verilog::{compile_with, CaseLowering, ElaborateOptions};
+    const SRC: &str = "
+module dup_arm (input wire [1:0] s, input wire [3:0] a, input wire [3:0] b,
+                input wire [3:0] c, output reg [3:0] y);
+  wire [3:0] t = (s == 2'b01) ? a : b;
+  always @(*) begin
+    case (s)
+      2'b01: y = t;
+      2'b10: y = t;
+      default: y = c;
+    endcase
+  end
+endmodule
+";
+    let options = ElaborateOptions {
+        case_lowering: CaseLowering::Pmux,
+    };
+    for level in OptLevel::ALL {
+        let mut m = compile_with(SRC, &options)
+            .expect("dup-arm case compiles")
+            .into_top()
+            .expect("module");
+        let pipeline = Pipeline {
+            verify: true,
+            ..Default::default()
+        };
+        let report = pipeline
+            .run(&mut m, level)
+            .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        assert_eq!(
+            report.equivalence,
+            Some(EquivResult::Equivalent),
+            "dup-arm case must stay equivalent at {level:?}"
+        );
+    }
+}
