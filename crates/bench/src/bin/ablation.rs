@@ -118,8 +118,8 @@ fn main() {
     // ---------------------------------------- A4: query-engine funnel
     println!("\nA4 — incremental query engine vs fresh solver per query");
     println!(
-        "{:14} {:>8} {:>6} {:>6} {:>9} {:>8} {:>8}",
-        "case", "queries", "memo", "cex", "prefilter", "t_inc", "t_fresh"
+        "{:14} {:>8} {:>6} {:>9} {:>8} {:>8}",
+        "case", "queries", "memo", "prefilter", "t_inc", "t_fresh"
     );
     for case in public_corpus(scale).into_iter().take(5) {
         let mut inc = case.compile().expect("compiles");
@@ -154,8 +154,8 @@ fn main() {
         let t_fresh = t1.elapsed().as_millis();
         assert_eq!(on.rewrites, off.rewrites, "funnel must not change results");
         println!(
-            "{:14} {:>8} {:>6} {:>6} {:>9} {:>7}ms {:>7}ms",
-            case.name, on.queries, on.by_memo, on.by_cex, on.by_prefilter, t_inc, t_fresh
+            "{:14} {:>8} {:>6} {:>9} {:>7}ms {:>7}ms",
+            case.name, on.queries, on.by_memo, on.by_prefilter, t_inc, t_fresh
         );
     }
 

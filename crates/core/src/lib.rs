@@ -15,7 +15,8 @@
 //!   collapses — catching *logically dependent* controls the Yosys
 //!   baseline cannot see (paper Fig. 3: `S ? ((S|R) ? A : B) : C`).
 //!   Queries run through the stateful [`QueryEngine`] funnel — verdict
-//!   memo, counterexample replay, random-simulation prefilter, and one
+//!   memo, design-level verdict store, random-simulation prefilter,
+//!   shared counterexample replay, then exhaustive simulation or one
 //!   incremental activation-literal solver per module — instead of a
 //!   fresh solver per query ([`query_engine`] has the details).
 //! * [`restructure()`](restructure()) (paper §III, Algorithm 1) — rebuilds `case`-shaped

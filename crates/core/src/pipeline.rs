@@ -135,12 +135,11 @@ impl std::fmt::Display for PipelineReport {
         )?;
         writeln!(
             f,
-            "query funnel: {} queries (memo {} [carryover {}], disk-verdict {}, cex-replay {}, shared-cex {}, prefilter {} in {} rounds)",
+            "query funnel: {} queries (memo {} [carryover {}], disk-verdict {}, shared-cex {}, prefilter {} in {} rounds)",
             self.sat_stats.queries,
             self.sat_stats.by_memo,
             self.sat_stats.memo_carryover,
             self.sat_stats.by_disk_verdict,
-            self.sat_stats.by_cex,
             self.sat_stats.by_shared_cex,
             self.sat_stats.by_prefilter,
             self.sat_stats.prefilter_rounds,

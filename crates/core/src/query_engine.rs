@@ -1,49 +1,51 @@
-//! The incremental SAT query engine: a four-layer funnel that answers
-//! "is this bit constant under the path condition?" queries for the
-//! redundancy pass (paper §II) without paying a fresh solver per query.
+//! The incremental SAT query engine: the funnel that answers "is this
+//! bit constant under the path condition?" queries for the redundancy
+//! pass (paper §II) without paying a fresh solver per query.
 //!
 //! [`decide()`](crate::decide::decide) — the legacy path — Tseitin-encodes
 //! every sub-graph into a brand-new solver and runs two full CDCL
-//! searches. Profiling the public corpus shows that most queries are
-//! *refutations* (the target genuinely takes both values), and
-//! SAT-sweeping practice answers those without ever reaching a solver.
-//! [`QueryEngine`] layers the cheap answers in front:
+//! searches. Profiling the public corpus shows that most queries either
+//! repeat an isomorphic cone or are *refutations* (the target genuinely
+//! takes both values), and neither needs a solver. [`QueryEngine`]
+//! layers the cheap answers in front, in the order a query falls
+//! through them:
 //!
 //! 1. **Cone-verdict memo** — queries are keyed by the canonical
 //!    structural hash of ([`subgraph::query_key`]), so a mux tree
 //!    replicated across a 32-bit bus pays for one decision, not 32.
-//! 2. **Counterexample cache** — every model a SAT call returns is packed
-//!    into 64-wide vector words (lane *k* of every bit's word = model
-//!    *k*). Replaying the bank through the cone with
-//!    [`smartly_sim::ConeSim`] refutes most "is it constant?" queries in
-//!    one bit-parallel pass: a lane that satisfies the path condition and
-//!    drives the target to each polarity is a complete proof of
-//!    `Unknown`.
-//! 3. **Random-simulation prefilter** — a handful of deterministic
-//!    pseudo-random 64-vector passes knock out queries on genuinely free
-//!    cones that the cache has not seen yet.
-//! 4. **Incremental SAT** — one shared [`TseitinEncoder`] per module.
+//! 2. **Design-level verdict store** — conclusive verdicts recorded by
+//!    an earlier run ([`SharedVerdictStore`], warmed from a knowledge
+//!    file) answer isomorphic queries in any module.
+//! 3. **Random-simulation prefilter** — `prefilter_rounds` deterministic
+//!    pseudo-random 64-vector passes through the compiled cone
+//!    ([`smartly_sim::ConeSim`]). A lane that satisfies the path
+//!    condition and drives the target to each polarity is a complete
+//!    proof of `Unknown`.
+//! 4. **Shared counterexample replay** — SAT models that sibling modules
+//!    published to the design-level [`SharedCexBank`] under the same
+//!    cone shape complete a refutation the prefilter started.
+//! 5. **Exhaustive simulation or incremental SAT**, routed by the
+//!    paper's hybrid rule ([`choose_engine`]). Small cones enumerate
+//!    their free leaves 64 vectors per pass through the same compiled
+//!    cone. The rest go to one shared [`TseitinEncoder`] per module.
 //!    Each cell's gate CNF is encoded exactly *once*; the clauses tying a
 //!    cell's function to its output net are guarded by a per-cell
 //!    *activation literal*, so a query is posed as
 //!    `solve_with(activations ∪ path-condition ∪ target)` and retracted
 //!    for free when the call returns. Learnt clauses survive the whole
-//!    sweep. Exhaustive simulation of small cones (the paper's hybrid
-//!    rule, [`choose_engine`]) runs 64 vectors per pass through the same
-//!    compiled cone instead of one scalar three-valued evaluation at a
-//!    time.
+//!    sweep, and a polarity the prefilter already witnessed is not asked.
 //!
-//! Layers 1–3 only ever *refute* (conclude `Unknown`) or miss; every
-//! conclusive `Const`/`Unreachable` verdict still comes from exhaustive
-//! simulation or SAT, so the funnel returns exactly the verdicts the
-//! legacy path would for every query the conflict budget does not cut
-//! short (see the differential tests). A budget-limited query can
-//! resolve on either side of the limit depending on the shared solver's
-//! accumulated learnt clauses — a sound divergence either way, since
-//! both modes then report `Unknown` or a correctly proven constant.
-//! Guarding only the output-tie clauses keeps out-of-cone cells
-//! invisible to a query — a leaf stays as free as it was in a fresh
-//! solver.
+//! Layers 1–2 replay verdicts decided earlier, and layers 3–4 only ever
+//! *refute* (conclude `Unknown`) or miss; every conclusive
+//! `Const`/`Unreachable` verdict still comes from exhaustive simulation
+//! or SAT, so the funnel returns exactly the verdicts the legacy path
+//! would for every query the conflict budget does not cut short (see the
+//! differential tests). A budget-limited query can resolve on either
+//! side of the limit depending on the shared solver's accumulated learnt
+//! clauses — a sound divergence either way, since both modes then report
+//! `Unknown` or a correctly proven constant. Guarding only the output-tie
+//! clauses keeps out-of-cone cells invisible to a query — a leaf stays as
+//! free as it was in a fresh solver.
 //!
 //! [`subgraph::query_key`]: crate::subgraph::query_key
 
@@ -55,7 +57,7 @@ use smartly_netlist::{CellId, Module, NetIndex, Port, SigBit, TriVal};
 use smartly_sat::{Deadline, Lit, SolveResult, SolverStats, TseitinEncoder};
 use smartly_sim::{compile_cone, ConeProgram, ConeSim};
 use smartly_telemetry::{ArgValue, Histogram, TraceHandle};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,8 +69,6 @@ pub enum Layer {
     /// The design-level verdict store replayed a verdict recorded by an
     /// earlier run (disk-loaded entries only; see [`SharedVerdictStore`]).
     DesignVerdict,
-    /// Counterexample replay refuted constancy.
-    CexReplay,
     /// Replay of the design-level shared bank's vectors refuted
     /// constancy.
     SharedCex,
@@ -86,10 +86,9 @@ impl Layer {
     /// Every layer, in funnel order — the index into
     /// [`FunnelProfile::latency_by_layer`] and the canonical order for
     /// rendering per-layer telemetry.
-    pub const ALL: [Layer; 8] = [
+    pub const ALL: [Layer; 7] = [
         Layer::Memo,
         Layer::DesignVerdict,
-        Layer::CexReplay,
         Layer::SharedCex,
         Layer::Prefilter,
         Layer::Simulation,
@@ -102,7 +101,6 @@ impl Layer {
         match self {
             Layer::Memo => "memo",
             Layer::DesignVerdict => "disk_verdict",
-            Layer::CexReplay => "cex_replay",
             Layer::SharedCex => "shared_cex",
             Layer::Prefilter => "prefilter",
             Layer::Simulation => "simulation",
@@ -116,12 +114,11 @@ impl Layer {
         match self {
             Layer::Memo => 0,
             Layer::DesignVerdict => 1,
-            Layer::CexReplay => 2,
-            Layer::SharedCex => 3,
-            Layer::Prefilter => 4,
-            Layer::Simulation => 5,
-            Layer::Sat => 6,
-            Layer::None => 7,
+            Layer::SharedCex => 2,
+            Layer::Prefilter => 3,
+            Layer::Simulation => 4,
+            Layer::Sat => 5,
+            Layer::None => 6,
         }
     }
 }
@@ -136,7 +133,7 @@ impl Layer {
 pub struct FunnelProfile {
     /// Query wall latency (µs), bucketed by the layer that terminated
     /// the query (indexed per [`Layer::index`]).
-    pub latency_by_layer: [Histogram; 8],
+    pub latency_by_layer: [Histogram; 7],
     /// Wall time (µs) per individual incremental `solve_with` call.
     pub sat_call_us: Histogram,
     /// CDCL propagations per individual solve call.
@@ -254,23 +251,12 @@ pub trait SharedVerdictStore: Send + Sync + std::fmt::Debug {
 pub struct QueryEngineOptions {
     /// The hybrid sim/SAT thresholds shared with the legacy path.
     pub decide: DecideOptions,
-    /// Base number of 64-vector random passes before SAT (0 disables the
-    /// prefilter layer entirely).
+    /// Number of 64-vector random passes before simulation or SAT (0
+    /// disables the prefilter layer entirely).
     pub prefilter_rounds: usize,
-    /// Adaptive ceiling: the prefilter scales its round count with the
-    /// cone's free-leaf count (one extra round per 16 free leaves over
-    /// the base) up to this many rounds; after the base rounds it stops
-    /// early once no lane has witnessed *any* target polarity (extension
-    /// rounds keep hunting a rare second polarity while one is seen).
-    pub prefilter_max_rounds: usize,
-    /// Maximum number of distinct cone bits the counterexample bank
-    /// tracks; beyond it the oldest-inserted bits are evicted ring-wise
-    /// (an evicted bit replays as constant 0, which lane re-verification
-    /// turns into at most a missed refutation).
-    pub cex_bank_capacity: usize,
     /// Drop and re-create the shared solver once it holds this many
     /// variables — a backstop against superlinear growth on huge modules
-    /// (the memo and counterexample bank survive a reset).
+    /// (the memo survives a reset).
     pub reset_vars: usize,
 }
 
@@ -279,8 +265,6 @@ impl Default for QueryEngineOptions {
         QueryEngineOptions {
             decide: DecideOptions::default(),
             prefilter_rounds: 2,
-            prefilter_max_rounds: 8,
-            cex_bank_capacity: 4_096,
             reset_vars: 200_000,
         }
     }
@@ -302,27 +286,21 @@ pub struct QueryEngineStats {
     pub by_disk_verdict: usize,
     /// Conclusive verdicts published to the design-level verdict store.
     pub verdicts_published: usize,
-    /// Refuted by counterexample replay.
-    pub by_cex: usize,
     /// Refuted by replaying the design-level shared bank's vectors.
     pub by_shared_cex: usize,
     /// Refuted by the random-simulation prefilter.
     pub by_prefilter: usize,
-    /// Random-simulation rounds actually executed (the adaptive
-    /// prefilter's work metric; fixed-rounds mode would be
-    /// `prefilter_rounds × queries-reaching-the-layer`).
+    /// Random-simulation rounds executed (the prefilter's work metric:
+    /// at most `prefilter_rounds` per query with free leaves that
+    /// reaches the layer, fewer when an early round refutes).
     pub prefilter_rounds: usize,
     /// Reached exhaustive simulation.
     pub by_sim: usize,
     /// Reached the incremental SAT solver.
     pub by_sat: usize,
-    /// Individual `solve_with` calls issued (≤ 2 per SAT query; witness
-    /// reuse from layers 2–3 skips the matching polarity).
+    /// Individual `solve_with` calls issued (≤ 2 per SAT query; a
+    /// polarity the prefilter witnessed is skipped).
     pub sat_solves: usize,
-    /// Models captured into the counterexample bank.
-    pub models_cached: usize,
-    /// Bits evicted from the bounded counterexample bank.
-    pub bank_evictions: usize,
     /// Shared-solver resets triggered by `reset_vars`.
     pub solver_resets: usize,
     /// CDCL search statistics, accumulated across solver resets.
@@ -421,14 +399,6 @@ pub struct QueryEngine<'m> {
     lits: HashMap<SigBit, Lit>,
     /// encoded cell → its activation literal
     acts: HashMap<CellId, Lit>,
-    /// counterexample bank: canonical bit → 64 packed model values
-    bank: HashMap<SigBit, u64>,
-    /// insertion order of bank bits, for bounded ring eviction
-    bank_order: VecDeque<SigBit>,
-    /// how many bank lanes hold a model (≤ 64)
-    bank_filled: u32,
-    /// next lane to (over)write
-    bank_cursor: u32,
     memo: VerdictMemo,
     /// design-level shared counterexample bank, when attached
     shared: Option<Arc<dyn SharedCexBank>>,
@@ -495,10 +465,6 @@ impl<'m> QueryEngine<'m> {
             enc: TseitinEncoder::new(),
             lits: HashMap::new(),
             acts: HashMap::new(),
-            bank: HashMap::new(),
-            bank_order: VecDeque::new(),
-            bank_filled: 0,
-            bank_cursor: 0,
             memo,
             shared,
             verdicts,
@@ -529,7 +495,7 @@ impl<'m> QueryEngine<'m> {
     }
 
     /// Consumes the engine, handing the verdict memo back for the next
-    /// round (the per-sweep state — solver, banks — is dropped).
+    /// round (the per-sweep solver and its learnt clauses are dropped).
     pub fn into_memo(self) -> VerdictMemo {
         self.memo
     }
@@ -546,8 +512,8 @@ impl<'m> QueryEngine<'m> {
     /// Decides the sub-graph's target bit under `assign` (canonical keys),
     /// returning the verdict and the layer that produced it.
     ///
-    /// Layer order: memo → counterexample replay → adaptive random
-    /// prefilter → shared-bank replay (completing partial local
+    /// Layer order: memo → design-level verdict store → random
+    /// prefilter → shared-bank replay (completing partial prefilter
     /// witnesses) → exhaustive simulation or incremental SAT, with the
     /// same sim/SAT/skip routing as [`crate::decide::decide`].
     pub fn decide(&mut self, sub: &SubGraph, assign: &HashMap<SigBit, bool>) -> (Decision, Layer) {
@@ -591,7 +557,7 @@ impl<'m> QueryEngine<'m> {
             self.memo.insert(key, Decision::Skipped, &sub.cells);
             return (Decision::Skipped, Layer::None);
         }
-        // layer 1b: the design-level verdict store — conclusive verdicts
+        // layer 2: the design-level verdict store — conclusive verdicts
         // recorded by a previous run (disk generation only, so the hit
         // pattern is a pure function of the loaded file and the input)
         // answer isomorphic queries across modules before any per-cone
@@ -613,27 +579,10 @@ impl<'m> QueryEngine<'m> {
         let mut seen_true = false;
         let mut seen_false = false;
         if let Some(tslot) = prog.slot(target) {
-            // layer 2: counterexample replay
-            if self.bank_filled > 0 {
-                let (t, f) = self.replay_bank(&prog, assign, tslot);
-                seen_true |= t;
-                seen_false |= f;
-                if seen_true && seen_false {
-                    self.stats.by_cex += 1;
-                    self.conclude(key, Decision::Unknown, &sub.cells);
-                    return (Decision::Unknown, Layer::CexReplay);
-                }
-            }
-            // layer 3: adaptive random-simulation prefilter — rounds
-            // scale with the free-leaf count. The extension rounds past
-            // the base exist precisely to hunt a not-yet-seen rare
-            // polarity, so they keep running while one polarity is
-            // witnessed; they stop early only when the base rounds
-            // witnessed *nothing* (no lane satisfied the path condition
-            // — more random lanes are then equally unlikely to).
+            // layer 3: random-simulation prefilter, a fixed number of
+            // 64-lane passes
             if !free.is_empty() {
-                let rounds = self.prefilter_rounds_for(free.len());
-                for round in 0..rounds {
+                for round in 0..self.options.prefilter_rounds {
                     self.stats.prefilter_rounds += 1;
                     let (t, f) = self.replay_random(&prog, assign, tslot, round as u64);
                     seen_true |= t;
@@ -643,17 +592,14 @@ impl<'m> QueryEngine<'m> {
                         self.conclude(key, Decision::Unknown, &sub.cells);
                         return (Decision::Unknown, Layer::Prefilter);
                     }
-                    if !seen_true && !seen_false && round + 1 >= self.options.prefilter_rounds {
-                        break;
-                    }
                 }
             }
-            // layer 3b: design-level shared bank — the *completion*
-            // layer. By now the cheap local layers have usually
-            // witnessed the target's common polarity; what is missing is
-            // the rare one, which is exactly what sibling modules'
-            // published SAT models carry. Shared witnesses may combine
-            // with local ones to finish a refutation (every witness is a
+            // layer 4: design-level shared bank — the *completion*
+            // layer. By now the prefilter has usually witnessed the
+            // target's common polarity; what is missing is the rare one,
+            // which is exactly what sibling modules' published SAT
+            // models carry. Shared witnesses may combine with the
+            // prefilter's to finish a refutation (every witness is a
             // verified cone evaluation, so both polarities witnessed
             // proves the verdict SAT would return: `Unknown`), but they
             // are never folded into `seen_true`/`seen_false` — feeding
@@ -690,15 +636,8 @@ impl<'m> QueryEngine<'m> {
             EngineChoice::Sat => {
                 self.stats.by_sat += 1;
                 let _span = self.trace.scope("layer:sat");
-                let (d, budget_limited) = self.sat_layer(
-                    sub,
-                    &prog,
-                    assign,
-                    target,
-                    shape.as_ref(),
-                    seen_true,
-                    seen_false,
-                );
+                let (d, budget_limited) =
+                    self.sat_layer(sub, assign, target, shape.as_ref(), seen_true, seen_false);
                 (d, Layer::Sat, !budget_limited)
             }
             EngineChoice::Skip => unreachable!("handled above"),
@@ -722,17 +661,6 @@ impl<'m> QueryEngine<'m> {
             store.publish(&key, d);
         }
         self.memo.insert(key, d, cells);
-    }
-
-    /// The adaptive prefilter budget for a cone with `free` free leaves:
-    /// the configured base plus one round per 16 leaves, capped. 0 keeps
-    /// the layer disabled.
-    fn prefilter_rounds_for(&self, free: usize) -> usize {
-        let base = self.options.prefilter_rounds;
-        if base == 0 {
-            return 0;
-        }
-        (base + free / 16).min(self.options.prefilter_max_rounds.max(base))
     }
 
     /// Loads leaf planes (path-condition bits pinned, free bits from
@@ -765,18 +693,6 @@ impl<'m> QueryEngine<'m> {
         }
         let t = sim.plane(tslot);
         ((ok & t) != 0, (ok & !t) != 0)
-    }
-
-    fn replay_bank(
-        &self,
-        prog: &ConeProgram,
-        assign: &HashMap<SigBit, bool>,
-        tslot: u32,
-    ) -> (bool, bool) {
-        let active = lanes_mask(self.bank_filled);
-        self.witnesses(prog, assign, tslot, active, |bit, _| {
-            self.bank.get(&bit).copied().unwrap_or(0)
-        })
     }
 
     /// Replays the shared bank's per-intern-index planes through this
@@ -916,18 +832,16 @@ impl<'m> QueryEngine<'m> {
     }
 
     /// Incremental SAT: assume the cone's activation literals, the path
-    /// condition and the target polarity; models feed the counterexample
-    /// bank and are published to the shared bank under the cone's shape
-    /// signature. Polarities already witnessed by layers 2–3 are skipped.
+    /// condition and the target polarity; models are published to the
+    /// shared bank under the cone's shape signature. Polarities the
+    /// prefilter already witnessed are skipped.
     ///
     /// The second return is `true` when any executed solve exhausted the
     /// conflict budget — the verdict is then state-dependent and must
     /// not be persisted.
-    #[allow(clippy::too_many_arguments)]
     fn sat_layer(
         &mut self,
         sub: &SubGraph,
-        prog: &ConeProgram,
         assign: &HashMap<SigBit, bool>,
         target: SigBit,
         shape: Option<&ConeShape>,
@@ -1000,7 +914,7 @@ impl<'m> QueryEngine<'m> {
                 ("propagations", ArgValue::U64(delta.propagations)),
             ]);
             if r == SolveResult::Sat {
-                this.capture_model(prog, shape);
+                this.publish_model(shape);
             }
             r
         };
@@ -1025,41 +939,9 @@ impl<'m> QueryEngine<'m> {
         (d, budget_limited)
     }
 
-    /// Packs the last model's values for every cone bit into the next
-    /// bank lane (a ring over 64 lanes; bits absent from this cone keep
-    /// their previous lane values — replay re-verifies every lane, so
-    /// stale mixtures cost at most a missed refutation, never a wrong
-    /// one), evicting the oldest tracked bits when the bounded bank
-    /// overflows, and publishes the model to the shared bank under the
-    /// cone's shape signature.
-    fn capture_model(&mut self, prog: &ConeProgram, shape: Option<&ConeShape>) {
-        let lane = self.bank_cursor % 64;
-        self.bank_cursor = self.bank_cursor.wrapping_add(1);
-        self.bank_filled = (self.bank_filled + 1).min(64);
-        self.stats.models_cached += 1;
-        for (bit, _) in prog.bits() {
-            if let Some(&l) = self.lits.get(&bit) {
-                let v = self.enc.solver().model_value(l).unwrap_or(false);
-                if let Some(plane) = self.bank.get_mut(&bit) {
-                    if v {
-                        *plane |= 1 << lane;
-                    } else {
-                        *plane &= !(1 << lane);
-                    }
-                } else {
-                    while self.bank.len() >= self.options.cex_bank_capacity.max(1) {
-                        let Some(oldest) = self.bank_order.pop_front() else {
-                            break;
-                        };
-                        if self.bank.remove(&oldest).is_some() {
-                            self.stats.bank_evictions += 1;
-                        }
-                    }
-                    self.bank.insert(bit, if v { 1 << lane } else { 0 });
-                    self.bank_order.push_back(bit);
-                }
-            }
-        }
+    /// Publishes the last model to the shared bank under the cone's
+    /// shape signature (a no-op without a bank).
+    fn publish_model(&self, shape: Option<&ConeShape>) {
         if let (Some(bank), Some(shape)) = (&self.shared, shape) {
             let values: Vec<bool> = shape
                 .bits
@@ -1118,64 +1000,52 @@ mod tests {
         }
     }
 
-    /// SAT models feed the bank; an isomorphism-breaking sibling query is
-    /// then refuted by pure replay.
-    #[test]
-    fn counterexamples_replay_across_queries() {
-        let mut m = Module::new("t");
-        let a = m.add_input("a", 1);
-        let b = m.add_input("b", 1);
-        let x = m.xor(&a, &b);
-        let xn = m.xnor(&a, &b);
-        m.add_output("o1", &x);
-        m.add_output("o2", &xn);
-        let index = NetIndex::build(&m);
-        let mut eng = QueryEngine::new(&m, &index, sat_only());
-
-        let (sub, assign) = extract_for(&m, &index, index.canon(x.bit(0)), &[]);
-        let (d, layer) = eng.decide(&sub, &assign);
-        assert_eq!(d, Decision::Unknown);
-        assert_eq!(layer, Layer::Sat);
-        assert_eq!(eng.stats().models_cached, 2, "one model per polarity");
-
-        // xnor(a, b) is the complement cone: whatever pair of models
-        // witnessed xor's two polarities witnesses xnor's two polarities
-        let (sub, assign) = extract_for(&m, &index, index.canon(xn.bit(0)), &[]);
-        let (d, layer) = eng.decide(&sub, &assign);
-        assert_eq!(d, Decision::Unknown);
-        assert_eq!(layer, Layer::CexReplay);
-        assert_eq!(eng.stats().by_cex, 1);
-    }
-
-    /// A poisoned bank must never refute a genuinely constant bit: replay
-    /// verifies every lane against the path condition.
+    /// Random replay must never refute a genuinely constant bit: every
+    /// prefilter lane holds the path condition.
     #[test]
     fn replay_never_misrefutes_a_constant_bit() {
         let mut m = Module::new("t");
-        let a = m.add_input("a", 1);
-        let b = m.add_input("b", 1);
-        let x = m.xor(&a, &b);
-        m.add_output("o1", &x);
         let s = m.add_input("s", 1);
         let r = m.add_input("r", 1);
         let sr = m.or(&s, &r);
-        m.add_output("o2", &sr);
+        m.add_output("o", &sr);
         let index = NetIndex::build(&m);
-        let mut eng = QueryEngine::new(&m, &index, sat_only());
+        let mut eng = QueryEngine::new(&m, &index, QueryEngineOptions::default());
 
-        // fill the bank with models over {a, b} (and, lane-stale, zeros
-        // for every other bit)
-        let (sub, assign) = extract_for(&m, &index, index.canon(x.bit(0)), &[]);
-        let _ = eng.decide(&sub, &assign);
-        assert!(eng.stats().models_cached > 0);
-
-        // s|r under s=1 is constant true; the bank's lanes pin s=1 via
-        // the path condition and must only ever witness `true`
+        // s|r under s=1 is constant true: the prefilter's lanes pin s=1
+        // and must only ever witness `true`
         let (sub, assign) = extract_for(&m, &index, index.canon(sr.bit(0)), &[(s.bit(0), true)]);
         let (d, layer) = eng.decide(&sub, &assign);
         assert_eq!(d, Decision::Const(true));
+        assert_eq!(layer, Layer::Simulation);
+        let stats = eng.stats();
+        assert_eq!(stats.by_prefilter, 0, "the prefilter must not fire");
+        assert!(stats.prefilter_rounds > 0, "the prefilter must run");
+    }
+
+    /// A polarity the prefilter witnessed is not asked of the solver: a
+    /// 16-input AND is almost always false on random lanes and almost
+    /// never true, so SAT only has to find the all-ones model.
+    #[test]
+    fn prefilter_witness_skips_one_sat_polarity() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 16);
+        let y = m.reduce_and(&a);
+        m.add_output("y", &y);
+        let index = NetIndex::build(&m);
+        let opts = QueryEngineOptions {
+            decide: DecideOptions {
+                sim_threshold: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut eng = QueryEngine::new(&m, &index, opts);
+        let (sub, assign) = extract_for(&m, &index, index.canon(y.bit(0)), &[]);
+        let (d, layer) = eng.decide(&sub, &assign);
+        assert_eq!(d, Decision::Unknown);
         assert_eq!(layer, Layer::Sat);
-        assert_eq!(eng.stats().by_cex, 0, "replay must not fire");
+        assert_eq!(eng.stats().sat_solves, 1, "one polarity is skipped");
     }
 
     /// Bus-replicated structure: the second isomorphic cone is answered
@@ -1292,7 +1162,7 @@ mod tests {
         let (d, layer) = eng_a.decide(&sub, &assign);
         assert_eq!(d, Decision::Unknown);
         assert_eq!(layer, Layer::Sat);
-        assert_eq!(eng_a.stats().models_cached, 2);
+        assert_eq!(eng_a.stats().sat_solves, 2);
 
         let (mb, tb) = xor_module("b");
         let index_b = NetIndex::build(&mb);
@@ -1336,7 +1206,7 @@ mod tests {
         let (sub, assign) = extract_for(&ma, &index_a, index_a.canon(sr.bit(0)), &[]);
         let (d, _) = eng_a.decide(&sub, &assign);
         assert_eq!(d, Decision::Unknown);
-        assert!(eng_a.stats().models_cached > 0);
+        assert!(eng_a.stats().sat_solves > 0);
 
         // module B: the same or-cone but queried under s=1 — constant
         // true; the shared lanes with s=0 must be filtered out
@@ -1394,8 +1264,8 @@ mod tests {
 
     /// Conclusive verdicts are published to the design-level store, and
     /// a second engine (different module, isomorphic cone) warm-started
-    /// from those entries answers from the store without touching sim,
-    /// SAT, or its own banks.
+    /// from those entries answers from the store without touching the
+    /// prefilter, sim or SAT.
     #[test]
     fn design_verdict_store_replays_across_engines() {
         let store = Arc::new(TestVerdicts::default());
@@ -1494,40 +1364,6 @@ mod tests {
         let (d, published) = run(1_000_000);
         assert_eq!(d, Decision::Const(true));
         assert_eq!(published, 1, "conclusive verdicts are published");
-    }
-
-    /// The bounded bank evicts its oldest bits instead of growing without
-    /// limit, and eviction stays sound (verdicts unchanged).
-    #[test]
-    fn bounded_bank_evicts_oldest_bits() {
-        let mut m = Module::new("t");
-        let sigs: Vec<_> = (0..4)
-            .map(|i| {
-                let a = m.add_input(&format!("a{i}"), 1);
-                let b = m.add_input(&format!("b{i}"), 1);
-                // xor chained through a not so each cone has distinct bits
-                let x = m.xor(&a, &b);
-                let y = m.not(&x);
-                m.add_output(&format!("o{i}"), &y);
-                y.bit(0)
-            })
-            .collect();
-        let index = NetIndex::build(&m);
-        let opts = QueryEngineOptions {
-            cex_bank_capacity: 3,
-            ..sat_only()
-        };
-        let mut eng = QueryEngine::new(&m, &index, opts);
-        for &t in &sigs {
-            let (sub, assign) = extract_for(&m, &index, index.canon(t), &[]);
-            let (d, _) = eng.decide(&sub, &assign);
-            assert_eq!(d, Decision::Unknown);
-        }
-        let stats = eng.stats();
-        assert!(
-            stats.bank_evictions > 0,
-            "capacity 3 over 4 distinct cones must evict: {stats:?}"
-        );
     }
 
     /// Verdict memos persist across engine instances (rounds): a carried

@@ -48,42 +48,38 @@ pub struct SatRedundancyOptions {
     /// (paper's ~80% claim); costs extra graph walks, off by default.
     pub measure_gather: bool,
     /// Route queries through the stateful [`QueryEngine`] funnel
-    /// (counterexample cache, random prefilter, shared incremental
-    /// solver, verdict memo) instead of a fresh solver per query.
+    /// (verdict memo, random prefilter, shared incremental solver)
+    /// instead of a fresh solver per query.
     /// Verdicts are identical for every query the conflict budget does
     /// not cut short; a budget-limited `Unknown` can land on either
     /// side of the limit depending on the solver's accumulated state,
     /// and only ever degrades to a missed rewrite, never a wrong one.
     /// `false` is the ablation baseline.
     pub incremental: bool,
-    /// Base random-simulation prefilter passes per query (engine mode
-    /// only); the engine scales this with the cone's free-leaf count up
-    /// to `prefilter_max_rounds`.
+    /// Random-simulation prefilter passes per query (engine mode only;
+    /// 0 disables the prefilter).
     pub prefilter_rounds: usize,
-    /// Ceiling for the adaptive prefilter's round count.
-    pub prefilter_max_rounds: usize,
-    /// Bound on distinct bits tracked by the engine's counterexample
-    /// bank (oldest evicted first).
+    /// Entries per section a knowledge-file save keeps (hottest shapes
+    /// and freshest verdicts first). The sweep itself never reads it.
     pub cex_bank_capacity: usize,
 }
 
 impl Default for SatRedundancyOptions {
     fn default() -> Self {
-        let engine = QueryEngineOptions::default();
+        let decide = DecideOptions::default();
         SatRedundancyOptions {
             k: 6,
-            sim_threshold: 10,
-            sat_threshold: 64,
-            conflict_budget: 2_000,
+            sim_threshold: decide.sim_threshold,
+            sat_threshold: decide.sat_threshold,
+            conflict_budget: decide.conflict_budget,
             prune: true,
             inference: true,
             max_queries: 100_000,
             max_subgraph_cells: 3_000,
             measure_gather: false,
             incremental: true,
-            prefilter_rounds: engine.prefilter_rounds,
-            prefilter_max_rounds: engine.prefilter_max_rounds,
-            cex_bank_capacity: engine.cex_bank_capacity,
+            prefilter_rounds: QueryEngineOptions::default().prefilter_rounds,
+            cex_bank_capacity: 4_096,
         }
     }
 }
@@ -183,18 +179,14 @@ pub struct SatPassStats {
     pub verdicts_published: usize,
     /// Memo entries invalidated by the dirty-set protocol between rounds.
     pub memo_invalidated: usize,
-    /// Queries refuted by counterexample replay (engine mode only).
-    pub by_cex: usize,
     /// Queries refuted by replaying the design-level shared bank's
     /// vectors (engine mode with a shared bank attached).
     pub by_shared_cex: usize,
     /// Queries refuted by the random-simulation prefilter (engine mode
     /// only).
     pub by_prefilter: usize,
-    /// Random-simulation rounds the adaptive prefilter actually ran.
+    /// Random-simulation rounds the prefilter ran.
     pub prefilter_rounds: usize,
-    /// Bits evicted from the engine's bounded counterexample bank.
-    pub bank_evictions: usize,
     /// Branches proven unreachable.
     pub unreachable: usize,
     /// Gates gathered into sub-graphs before pruning (paper ~80% claim).
@@ -265,11 +257,9 @@ impl SatPassStats {
         self.by_disk_verdict += o.by_disk_verdict;
         self.verdicts_published += o.verdicts_published;
         self.memo_invalidated += o.memo_invalidated;
-        self.by_cex += o.by_cex;
         self.by_shared_cex += o.by_shared_cex;
         self.by_prefilter += o.by_prefilter;
         self.prefilter_rounds += o.prefilter_rounds;
-        self.bank_evictions += o.bank_evictions;
         self.unreachable += o.unreachable;
         self.gates_before_prune += o.gates_before_prune;
         self.gates_after_prune += o.gates_after_prune;
@@ -335,8 +325,6 @@ pub fn sat_redundancy_with(
             QueryEngineOptions {
                 decide: decide_opts,
                 prefilter_rounds: options.prefilter_rounds,
-                prefilter_max_rounds: options.prefilter_max_rounds,
-                cex_bank_capacity: options.cex_bank_capacity,
                 ..Default::default()
             },
             std::mem::take(&mut ctx.memo),
@@ -422,12 +410,10 @@ pub fn sat_redundancy_with(
         stats.by_memo = es.by_memo;
         stats.memo_carryover = es.memo_carryover;
         stats.by_disk_verdict = es.by_disk_verdict;
-        stats.by_cex = es.by_cex;
         stats.by_shared_cex = es.by_shared_cex;
         stats.by_prefilter = es.by_prefilter;
         stats.verdicts_published = es.verdicts_published;
         stats.prefilter_rounds = es.prefilter_rounds;
-        stats.bank_evictions = es.bank_evictions;
         stats.solver_resets = es.solver_resets;
         stats.solver_conflicts = es.solver.conflicts;
         stats.solver_propagations = es.solver.propagations;

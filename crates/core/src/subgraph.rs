@@ -9,6 +9,7 @@
 //! about 80% of gathered gates; [`SubgraphStats`] measures exactly that.
 
 use smartly_netlist::{CellId, CellKind, Module, NetIndex, Port, SigBit, TriVal};
+use smartly_sat::codec::{fnv64_extend, FNV64_OFFSET};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Cell kinds the inference/decision engines understand. Anything else
@@ -342,21 +343,15 @@ pub fn query_key(
 /// loader that checks it falls back to a cold start instead of
 /// replaying verdicts against silently re-numbered keys.
 pub fn encoding_fingerprint() -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV64_OFFSET;
     for kind in CellKind::ALL {
-        fnv(&(kind as u64).to_le_bytes());
-        fnv(kind.name().as_bytes());
+        h = fnv64_extend(h, &(kind as u64).to_le_bytes());
+        h = fnv64_extend(h, kind.name().as_bytes());
     }
     // the non-kind encoding constants: const bit codes, the wire-id
     // offset, and the port/output/target sentinels
     for sentinel in [0u64, 1, 2, 3, u64::MAX - 64, u64::MAX - 128, u64::MAX - 129] {
-        fnv(&sentinel.to_le_bytes());
+        h = fnv64_extend(h, &sentinel.to_le_bytes());
     }
     h
 }
@@ -432,17 +427,10 @@ pub fn query_key_and_shape(
 
     // the shape signature covers exactly the structural prefix built so
     // far (FNV-1a, stable across processes) plus the intern width
-    let mut sig = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |x: u64| {
-        for byte in x.to_le_bytes() {
-            sig ^= u64::from(byte);
-            sig = sig.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &word in &key {
-        fnv(word);
-    }
-    fnv(order.len() as u64);
+    let sig = key
+        .iter()
+        .chain([&(order.len() as u64)])
+        .fold(FNV64_OFFSET, |h, word| fnv64_extend(h, &word.to_le_bytes()));
     let shape = ConeShape { sig, bits: order };
 
     // the path condition, restricted to bits the cone references (bits
@@ -664,6 +652,30 @@ mod tests {
         m2.add_output("w", &w);
         let s2 = shape_of(&m2, w.bit(0), &[]);
         assert_ne!(s0.sig, s2.sig);
+    }
+
+    /// Both hashes are persisted in `smartly.kb`, so their values must
+    /// never drift: a drifted fingerprint rejects every existing file as
+    /// stale, and a drifted shape signature orphans its counterexample
+    /// records.
+    #[test]
+    fn persisted_hashes_are_pinned() {
+        assert_eq!(encoding_fingerprint(), 0xd539_29ad_6644_bcbf);
+        let mut m = Module::new("pin");
+        let a = m.add_input("a", 1);
+        let b = m.add_input("b", 1);
+        let c = m.add_input("c", 1);
+        let ab = m.and(&a, &b);
+        let y = m.or(&ab, &c);
+        m.add_output("y", &y);
+        let index = NetIndex::build(&m);
+        let r = ranks(&m);
+        let mut assign = HashMap::new();
+        assign.insert(index.canon(a.bit(0)), true);
+        let (sub, _) = extract(&m, &index, &r, index.canon(y.bit(0)), &assign, 8, true);
+        let (_, shape) = query_key_and_shape(&m, &index, &sub, &assign);
+        assert_eq!(shape.bits.len(), 5);
+        assert_eq!(shape.sig, 0x9a30_746f_d63a_60bb);
     }
 
     #[test]

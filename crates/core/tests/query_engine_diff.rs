@@ -109,8 +109,7 @@ fn engine_matches_legacy_on_seeded_workloads() {
 #[test]
 fn engine_matches_legacy_with_sat_forced() {
     // sim_threshold 0 pushes every decidable query through the shared
-    // incremental solver, exercising model capture + counterexample
-    // replay; prefilter off so the replay layer gets first refusal
+    // incremental solver; prefilter off so every polarity is asked
     let opts = SatRedundancyOptions {
         sim_threshold: 0,
         prefilter_rounds: 0,
@@ -124,10 +123,6 @@ fn engine_matches_legacy_with_sat_forced() {
         total.absorb(&inc_stats);
     }
     assert!(total.by_sat > 0, "SAT layer never decided: {total:?}");
-    assert!(
-        total.by_cex > 0,
-        "counterexample replay never hit: {total:?}"
-    );
 }
 
 /// Cross-round memo persistence through the full pipeline: round 1

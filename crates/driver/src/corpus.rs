@@ -531,12 +531,11 @@ impl CorpusReport {
         let t = self.funnel_totals();
         writeln!(
             f,
-            "query funnel (sat+full): {} queries = inference {} + memo {} + disk-verdict {} + cex {} + shared-cex {} + prefilter {} + sim {} + sat-const {} + other {}",
+            "query funnel (sat+full): {} queries = inference {} + memo {} + disk-verdict {} + shared-cex {} + prefilter {} + sim {} + sat-const {} + other {}",
             t.queries,
             t.by_inference,
             t.by_memo,
             t.by_disk_verdict,
-            t.by_cex,
             t.by_shared_cex,
             t.by_prefilter,
             t.by_sim,
@@ -545,7 +544,6 @@ impl CorpusReport {
                 t.by_inference
                     + t.by_memo
                     + t.by_disk_verdict
-                    + t.by_cex
                     + t.by_shared_cex
                     + t.by_prefilter
                     + t.by_sim

@@ -10,7 +10,6 @@ use smartly_failpoint as fail;
 use smartly_netlist::{Design, Module, NetlistError};
 use smartly_telemetry::{ArgValue, SpanEvent, Trace, TraceClock, TraceHandle};
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -142,33 +141,7 @@ fn canonical_text(module: &mut Module) -> String {
 /// cache itself compares full canonical texts.)
 pub fn structural_key(module: &Module) -> u64 {
     let mut canon = module.clone();
-    let text = canonical_text(&mut canon);
-    let mut h = Fnv1a::default();
-    h.write(text.as_bytes());
-    h.finish()
-}
-
-/// FNV-1a: tiny, seedless, stable across runs (unlike `DefaultHasher`,
-/// which only promises stability within one program execution).
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    smartly_sat::codec::fnv64(canonical_text(&mut canon).as_bytes())
 }
 
 /// Per-module work cell shared with the worker pool.

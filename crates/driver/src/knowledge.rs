@@ -3,10 +3,10 @@
 //! [`crate::optimize_design`] run — and, through [`crate::persist`],
 //! across runs.
 //!
-//! Per-module query engines already cache counterexamples *within* a
-//! sweep, but the per-module banks die with the sweep — a design full of
-//! bus-replicated peripherals and parameter variants pays the cold-start
-//! cost once per module. [`KnowledgeBase`] implements
+//! A module's query engine keeps no SAT model past the query that found
+//! it, so without a shared bank a design full of bus-replicated
+//! peripherals and parameter variants re-derives the same witnesses once
+//! per module. [`KnowledgeBase`] implements
 //! [`smartly_core::SharedCexBank`]: SAT models are published under their
 //! cone's canonical *shape signature*
 //! ([`smartly_core::subgraph::ConeShape`]), and a sibling module whose

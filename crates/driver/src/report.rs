@@ -11,7 +11,7 @@
 //!
 //! * with the design-level shared bank enabled, a query can be refuted
 //!   by a sibling module's vectors in one scheduling and by its own
-//!   prefilter in another — same verdict, different attribution — so
+//!   SAT call in another — same verdict, different attribution — so
 //!   attribution is not `--jobs`-deterministic;
 //! * with a persistent knowledge file, a warm run answers from disk
 //!   queries a cold run paid sim/SAT for — same verdict, different
@@ -454,13 +454,11 @@ pub(crate) fn funnel_counters(s: &SatPassStats) -> Counters {
         .add("memo_invalidated", s.memo_invalidated as u64)
         .add("by_disk_verdict", s.by_disk_verdict as u64)
         .add("verdicts_published", s.verdicts_published as u64)
-        .add("by_cex", s.by_cex as u64)
         .add("by_shared_cex", s.by_shared_cex as u64)
         .add("by_prefilter", s.by_prefilter as u64)
         .add("prefilter_rounds", s.prefilter_rounds as u64)
         .add("by_sim", s.by_sim as u64)
-        .add("by_sat", s.by_sat as u64)
-        .add("bank_evictions", s.bank_evictions as u64);
+        .add("by_sat", s.by_sat as u64);
     c
 }
 
@@ -507,8 +505,8 @@ pub(crate) fn hist_json(h: &Histogram) -> Json {
 }
 
 /// Renders the always-on latency profile: one latency histogram per
-/// funnel layer (all eight keys present, empty or not, so the timing
-/// schema is stable) plus the per-SAT-call work histograms.
+/// funnel layer (every key present, empty or not, so the timing schema
+/// is stable) plus the per-SAT-call work histograms.
 pub(crate) fn funnel_hist_json(p: &FunnelProfile) -> Json {
     let mut layers = Json::object();
     for layer in Layer::ALL {

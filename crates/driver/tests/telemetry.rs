@@ -145,13 +145,11 @@ fn module_timing_json_schema_snapshot() {
             "memo_invalidated",
             "by_disk_verdict",
             "verdicts_published",
-            "by_cex",
             "by_shared_cex",
             "by_prefilter",
             "prefilter_rounds",
             "by_sim",
             "by_sat",
-            "bank_evictions",
         ]
     );
     let hist = sat.get("funnel_hist").unwrap();
@@ -161,7 +159,6 @@ fn module_timing_json_schema_snapshot() {
         [
             "memo",
             "disk_verdict",
-            "cex_replay",
             "shared_cex",
             "prefilter",
             "simulation",
@@ -290,13 +287,11 @@ fn corpus_bench_json_schema_snapshot() {
             "memo_invalidated",
             "by_disk_verdict",
             "verdicts_published",
-            "by_cex",
             "by_shared_cex",
             "by_prefilter",
             "prefilter_rounds",
             "by_sim",
             "by_sat",
-            "bank_evictions",
             "funnel_hist",
             "solver",
         ]

@@ -161,12 +161,23 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// The FNV-1a offset basis: the hash of no bytes, and the starting
+/// state for [`fnv64_extend`].
+pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Seedless FNV-1a over a byte slice: the payload checksum of the
-/// knowledge store. Stable across processes, builds and platforms
+/// knowledge store and the job journal, and the hash behind every
+/// persisted fingerprint. Stable across processes, builds and platforms
 /// (unlike `DefaultHasher`, which only promises stability within one
 /// program execution).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv64_extend(FNV64_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over more bytes, so a hash can be fed
+/// piecewise without concatenating its input:
+/// `fnv64_extend(fnv64(a), b) == fnv64(a ++ b)`.
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -217,5 +228,6 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
+        assert_eq!(fnv64_extend(fnv64(b"a"), b"bc"), fnv64(b"abc"));
     }
 }

@@ -84,11 +84,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Number of storage slots (canonical wire bits).
-    pub fn slot_count(&self) -> usize {
-        self.slots
-    }
-
     /// Input port names and widths.
     pub fn inputs(&self) -> impl Iterator<Item = (&str, usize)> {
         self.inputs.iter().map(|(n, s)| (n.as_str(), s.len()))
@@ -631,20 +626,10 @@ impl ConeProgram {
         &self.leaves
     }
 
-    /// Every canonical bit the cone references, with its slot.
-    pub fn bits(&self) -> impl Iterator<Item = (SigBit, u32)> + '_ {
-        self.slot_of.iter().map(|(&b, &s)| (b, s))
-    }
-
     /// Whether any constant `x` feeds the cone (two-valued replay is then
     /// an under-approximation of the three-valued semantics).
     pub fn has_x(&self) -> bool {
         self.has_x
-    }
-
-    /// Number of storage slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots
     }
 
     /// Number of compiled cell operations.
