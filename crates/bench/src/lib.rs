@@ -64,11 +64,6 @@ pub fn run_level(case: &BenchCase, level: OptLevel) -> LevelResult {
     }
 }
 
-/// Runs all four levels on a case.
-pub fn run_all_levels(case: &BenchCase) -> Vec<LevelResult> {
-    OptLevel::ALL.iter().map(|&l| run_level(case, l)).collect()
-}
-
 /// Percentage reduction of `new` relative to `old`.
 pub fn pct(old: usize, new: usize) -> f64 {
     if old == 0 {

@@ -231,9 +231,8 @@ impl Pipeline {
         }
 
         // cross-round sweep state: the verdict memo persists over the
-        // rounds below, with begin_round's dirty-set protocol dropping
-        // exactly the entries whose cones rebuild/clean/pinning touched,
-        // so later rounds skip re-deciding unchanged cones
+        // rounds below, so later rounds replay the verdict of every cone
+        // whose canonical key comes back instead of re-deciding it
         let mut sweep_ctx =
             SweepContext::new(self.shared_bank.clone(), self.shared_verdicts.clone());
         sweep_ctx.trace = trace.clone();
@@ -258,11 +257,7 @@ impl Pipeline {
             }
             if matches!(level, OptLevel::SatOnly | OptLevel::Full) {
                 let _span = trace.scope("pass:sat");
-                // the fingerprint pass only pays off when the engine (and
-                // therefore the cross-round memo) is actually in play
-                if self.sat.incremental {
-                    report.sat_stats.memo_invalidated += sweep_ctx.begin_round(module);
-                }
+                sweep_ctx.begin_round(module);
                 let st = sat_redundancy_with(module, &self.sat, &mut sweep_ctx);
                 changed |= st.rewrites > 0;
                 report.sat_rewrites += st.rewrites;

@@ -52,12 +52,12 @@
 use crate::decide::{
     choose_engine, encode_cell, free_leaves, simulate, DecideOptions, Decision, EngineChoice,
 };
-use crate::subgraph::{query_key, query_key_and_shape, ConeShape, SubGraph};
+use crate::subgraph::{query_key_and_shape, ConeShape, SubGraph};
 use smartly_netlist::{CellId, Module, NetIndex, Port, SigBit, TriVal};
 use smartly_sat::{Deadline, Lit, SolveResult, SolverStats, TseitinEncoder};
 use smartly_sim::{compile_cone, ConeProgram, ConeSim};
 use smartly_telemetry::{ArgValue, Histogram, TraceHandle};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -246,6 +246,11 @@ pub trait SharedVerdictStore: Send + Sync + std::fmt::Debug {
     fn publish(&self, key: &[u64], decision: Decision);
 }
 
+/// Drop and re-create the shared solver once it holds this many
+/// variables — a backstop against superlinear growth on huge modules
+/// (the memo survives a reset).
+const RESET_VARS: usize = 200_000;
+
 /// Tuning for a [`QueryEngine`].
 #[derive(Copy, Clone, Debug)]
 pub struct QueryEngineOptions {
@@ -254,10 +259,6 @@ pub struct QueryEngineOptions {
     /// Number of 64-vector random passes before simulation or SAT (0
     /// disables the prefilter layer entirely).
     pub prefilter_rounds: usize,
-    /// Drop and re-create the shared solver once it holds this many
-    /// variables — a backstop against superlinear growth on huge modules
-    /// (the memo survives a reset).
-    pub reset_vars: usize,
 }
 
 impl Default for QueryEngineOptions {
@@ -265,7 +266,6 @@ impl Default for QueryEngineOptions {
         QueryEngineOptions {
             decide: DecideOptions::default(),
             prefilter_rounds: 2,
-            reset_vars: 200_000,
         }
     }
 }
@@ -301,7 +301,7 @@ pub struct QueryEngineStats {
     /// Individual `solve_with` calls issued (≤ 2 per SAT query; a
     /// polarity the prefilter witnessed is skipped).
     pub sat_solves: usize,
-    /// Shared-solver resets triggered by `reset_vars`.
+    /// Shared-solver resets triggered by the variable-count backstop.
     pub solver_resets: usize,
     /// CDCL search statistics, accumulated across solver resets.
     pub solver: SolverStats,
@@ -314,23 +314,15 @@ pub struct QueryEngineStats {
 /// (and potentially cross-sweep) layer of the cache hierarchy.
 ///
 /// Keys are the canonical structural [`query_key`](crate::subgraph::query_key)s,
-/// so a verdict is a pure function of its key — replaying one across
-/// rounds is always sound. Entries still record the concrete cells of
-/// the cone that produced them so [`VerdictMemo::invalidate`] can drop
-/// everything a netlist mutation touched: belt-and-braces against any
-/// future keying bug, and memory hygiene (entries for dead cones never
-/// match again and would otherwise accumulate across rounds).
+/// so a verdict is a pure function of its key: replaying one in a later
+/// round is sound however the netlist changed in between, for the same
+/// reason that replaying it for a bus replica in the same sweep is. Each
+/// entry records the round that decided it, for carryover accounting.
 #[derive(Clone, Debug, Default)]
 pub struct VerdictMemo {
-    entries: HashMap<Vec<u64>, MemoEntry>,
+    /// canonical key → (verdict, round that decided it)
+    entries: HashMap<Vec<u64>, (Decision, u32)>,
     round: u32,
-}
-
-#[derive(Clone, Debug)]
-struct MemoEntry {
-    decision: Decision,
-    round: u32,
-    cells: Box<[CellId]>,
 }
 
 impl VerdictMemo {
@@ -356,33 +348,14 @@ impl VerdictMemo {
         self.round += 1;
     }
 
-    /// Drops every entry whose cone covers a dirty cell; returns how many
-    /// were dropped.
-    pub fn invalidate(&mut self, dirty: &HashSet<CellId>) -> usize {
-        if dirty.is_empty() {
-            return 0;
-        }
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| !e.cells.iter().any(|c| dirty.contains(c)));
-        before - self.entries.len()
-    }
-
     fn lookup(&self, key: &[u64]) -> Option<(Decision, bool)> {
         self.entries
             .get(key)
-            .map(|e| (e.decision, e.round < self.round))
+            .map(|&(decision, round)| (decision, round < self.round))
     }
 
-    fn insert(&mut self, key: Vec<u64>, decision: Decision, cells: &[CellId]) {
-        self.entries.insert(
-            key,
-            MemoEntry {
-                decision,
-                round: self.round,
-                cells: cells.into(),
-            },
-        );
+    fn insert(&mut self, key: Vec<u64>, decision: Decision) {
+        self.entries.insert(key, (decision, self.round));
     }
 }
 
@@ -534,16 +507,9 @@ impl<'m> QueryEngine<'m> {
         assign: &HashMap<SigBit, bool>,
     ) -> (Decision, Layer) {
         self.stats.queries += 1;
-        // one cone traversal builds the memo key — and, when a shared
-        // bank is attached, the cone shape riding on the same pass
-        // (without a bank the shape is never consumed, so the plain key
-        // path skips the intern-table and signature work entirely)
-        let (key, shape) = if self.shared.is_some() {
-            let (key, shape) = query_key_and_shape(self.module, self.index, sub, assign);
-            (key, Some(shape))
-        } else {
-            (query_key(self.module, self.index, sub, assign), None)
-        };
+        // one cone traversal builds the memo key and, on the same pass,
+        // the cone shape the shared bank is keyed by
+        let (key, shape) = query_key_and_shape(self.module, self.index, sub, assign);
         if let Some((d, carried)) = self.memo.lookup(&key) {
             self.stats.by_memo += 1;
             if carried {
@@ -554,7 +520,7 @@ impl<'m> QueryEngine<'m> {
         let free = free_leaves(sub, assign);
         let choice = choose_engine(free.len(), sub.cells.len(), &self.options.decide);
         if choice == EngineChoice::Skip {
-            self.memo.insert(key, Decision::Skipped, &sub.cells);
+            self.memo.insert(key, Decision::Skipped);
             return (Decision::Skipped, Layer::None);
         }
         // layer 2: the design-level verdict store — conclusive verdicts
@@ -569,7 +535,7 @@ impl<'m> QueryEngine<'m> {
         if let Some(store) = self.verdicts.as_ref() {
             if let Some(d) = store.lookup(&key) {
                 self.stats.by_disk_verdict += 1;
-                self.memo.insert(key, d, &sub.cells);
+                self.memo.insert(key, d);
                 return (d, Layer::DesignVerdict);
             }
         }
@@ -589,7 +555,7 @@ impl<'m> QueryEngine<'m> {
                     seen_false |= f;
                     if seen_true && seen_false {
                         self.stats.by_prefilter += 1;
-                        self.conclude(key, Decision::Unknown, &sub.cells);
+                        self.conclude(key, Decision::Unknown);
                         return (Decision::Unknown, Layer::Prefilter);
                     }
                 }
@@ -607,12 +573,12 @@ impl<'m> QueryEngine<'m> {
             // module's solver stream depend on what sibling modules
             // happened to publish first, breaking the jobs-determinism
             // of budget-limited verdicts.
-            if let (Some(bank), Some(shape)) = (self.shared.clone(), shape.as_ref()) {
+            if let Some(bank) = self.shared.clone() {
                 if let Some(vectors) = bank.lookup(shape.sig, shape.bits.len()) {
-                    let (t, f) = self.replay_shared(&prog, assign, tslot, shape, &vectors);
+                    let (t, f) = self.replay_shared(&prog, assign, tslot, &shape, &vectors);
                     if (seen_true || t) && (seen_false || f) {
                         self.stats.by_shared_cex += 1;
-                        self.conclude(key, Decision::Unknown, &sub.cells);
+                        self.conclude(key, Decision::Unknown);
                         return (Decision::Unknown, Layer::SharedCex);
                     }
                 }
@@ -637,17 +603,17 @@ impl<'m> QueryEngine<'m> {
                 self.stats.by_sat += 1;
                 let _span = self.trace.scope("layer:sat");
                 let (d, budget_limited) =
-                    self.sat_layer(sub, assign, target, shape.as_ref(), seen_true, seen_false);
+                    self.sat_layer(sub, assign, target, &shape, seen_true, seen_false);
                 (d, Layer::Sat, !budget_limited)
             }
             EngineChoice::Skip => unreachable!("handled above"),
         };
         if conclusive {
-            self.conclude(key, d, &sub.cells);
+            self.conclude(key, d);
         } else {
             // a budget-limited verdict is state-dependent: sound to memo
             // within this run, never published to the design-level store
-            self.memo.insert(key, d, &sub.cells);
+            self.memo.insert(key, d);
         }
         (d, layer)
     }
@@ -655,12 +621,12 @@ impl<'m> QueryEngine<'m> {
     /// Records a conclusive verdict — a pure function of its canonical
     /// key — in the local memo and, when a design-level store is
     /// attached, publishes it for cross-run persistence.
-    fn conclude(&mut self, key: Vec<u64>, d: Decision, cells: &[CellId]) {
+    fn conclude(&mut self, key: Vec<u64>, d: Decision) {
         if let Some(store) = &self.verdicts {
             self.stats.verdicts_published += 1;
             store.publish(&key, d);
         }
-        self.memo.insert(key, d, cells);
+        self.memo.insert(key, d);
     }
 
     /// Loads leaf planes (path-condition bits pinned, free bits from
@@ -844,7 +810,7 @@ impl<'m> QueryEngine<'m> {
         sub: &SubGraph,
         assign: &HashMap<SigBit, bool>,
         target: SigBit,
-        shape: Option<&ConeShape>,
+        shape: &ConeShape,
         seen_true: bool,
         seen_false: bool,
     ) -> (Decision, bool) {
@@ -855,7 +821,7 @@ impl<'m> QueryEngine<'m> {
         if self.deadline.expired() {
             return (Decision::Unknown, true);
         }
-        if self.enc.num_vars() > self.options.reset_vars {
+        if self.enc.num_vars() > RESET_VARS {
             self.solver_base.absorb(&self.enc.solver().stats());
             self.enc = TseitinEncoder::new();
             self.lits.clear();
@@ -941,8 +907,8 @@ impl<'m> QueryEngine<'m> {
 
     /// Publishes the last model to the shared bank under the cone's
     /// shape signature (a no-op without a bank).
-    fn publish_model(&self, shape: Option<&ConeShape>) {
-        if let (Some(bank), Some(shape)) = (&self.shared, shape) {
+    fn publish_model(&self, shape: &ConeShape) {
+        if let Some(bank) = &self.shared {
             let values: Vec<bool> = shape
                 .bits
                 .iter()
@@ -996,7 +962,6 @@ mod tests {
                 ..Default::default()
             },
             prefilter_rounds: 0,
-            ..Default::default()
         }
     }
 
@@ -1343,7 +1308,6 @@ mod tests {
                     ..Default::default()
                 },
                 prefilter_rounds: 0,
-                ..Default::default()
             };
             let mut eng = QueryEngine::with_state(
                 &m,
@@ -1367,50 +1331,56 @@ mod tests {
     }
 
     /// Verdict memos persist across engine instances (rounds): a carried
-    /// entry answers the repeat query, and invalidation drops entries
-    /// covering dirty cells.
+    /// entry answers the repeat query, and a cone rewired in between
+    /// misses, because its canonical key changes with it. Nothing but the
+    /// key tells the two rounds apart: the cell ids are the same.
     #[test]
     fn memo_carries_across_rounds_and_invalidates_on_dirty_cells() {
         let mut m = Module::new("t");
         let a = m.add_input("a", 1);
         let b = m.add_input("b", 1);
-        let x = m.xor(&a, &b);
+        let x = m.and(&a, &b);
         m.add_output("o", &x);
         let t = x.bit(0);
-        // an unrelated gate whose id is NOT in the queried cone
-        let p = m.add_input("p", 1);
-        let q = m.add_input("q", 1);
-        let unrelated_out = m.and(&p, &q);
-        m.add_output("u", &unrelated_out);
-        let unrelated_id = m
+        let known = [(a.bit(0), true)];
+        let opts = QueryEngineOptions::default();
+        let mut memo = {
+            let index = NetIndex::build(&m);
+            let (sub, assign) = extract_for(&m, &index, index.canon(t), &known);
+            // round 1: a & b under a = 1 follows the free b
+            let mut eng = QueryEngine::new(&m, &index, opts);
+            assert_eq!(eng.decide(&sub, &assign).0, Decision::Unknown);
+            let mut memo = eng.into_memo();
+            assert_eq!(memo.len(), 1);
+
+            // round 2: the same query is answered by a carried entry
+            memo.next_round();
+            let mut eng2 = QueryEngine::with_state(&m, &index, opts, memo, None, None);
+            let (d, layer) = eng2.decide(&sub, &assign);
+            assert_eq!(d, Decision::Unknown);
+            assert_eq!(layer, Layer::Memo);
+            assert_eq!(eng2.stats().memo_carryover, 1);
+            eng2.into_memo()
+        };
+
+        // round 3: the same cell with its B pin tied to 1 is constant
+        // under a = 1; the carried Unknown must not answer it
+        let and_id = m
             .cells()
             .find(|(_, c)| c.kind == smartly_netlist::CellKind::And)
             .map(|(id, _)| id)
             .unwrap();
-        let index = NetIndex::build(&m);
-        let mut eng = QueryEngine::new(&m, &index, QueryEngineOptions::default());
-        let (sub, assign) = extract_for(&m, &index, index.canon(t), &[]);
-        let cone_cells = sub.cells.clone();
-        let _ = eng.decide(&sub, &assign);
-        let mut memo = eng.into_memo();
-        assert_eq!(memo.len(), 1);
-
-        // round 2: the same query is answered by a carried entry
+        m.cell_mut(and_id)
+            .unwrap()
+            .set_port(Port::B, smartly_netlist::SigSpec::const_u64(1, 1));
         memo.next_round();
-        let mut eng2 =
-            QueryEngine::with_state(&m, &index, QueryEngineOptions::default(), memo, None, None);
-        let (d, layer) = eng2.decide(&sub, &assign);
-        assert_eq!(d, Decision::Unknown);
-        assert_eq!(layer, Layer::Memo);
-        assert_eq!(eng2.stats().memo_carryover, 1);
-        let mut memo = eng2.into_memo();
-
-        // an unrelated dirty cell keeps the entry; a cone cell drops it
-        let unrelated: HashSet<CellId> = [unrelated_id].into();
-        assert_eq!(memo.invalidate(&unrelated), 0);
-        let dirty: HashSet<CellId> = cone_cells.iter().copied().collect();
-        assert_eq!(memo.invalidate(&dirty), 1);
-        assert!(memo.is_empty());
+        let index = NetIndex::build(&m);
+        let (sub, assign) = extract_for(&m, &index, index.canon(t), &known);
+        let mut eng3 = QueryEngine::with_state(&m, &index, opts, memo, None, None);
+        let (d, layer) = eng3.decide(&sub, &assign);
+        assert_eq!(d, Decision::Const(true));
+        assert_ne!(layer, Layer::Memo);
+        assert_eq!(eng3.stats().memo_carryover, 0);
     }
 
     /// The engine and the legacy fresh-solver path agree verdict-for-
@@ -1452,7 +1422,6 @@ mod tests {
                         ..Default::default()
                     },
                     prefilter_rounds,
-                    ..Default::default()
                 };
                 // one engine across the whole query stream, like a sweep
                 let mut eng = QueryEngine::new(&m, &index, opts);

@@ -21,24 +21,19 @@ use smartly_netlist::{CellId, CellKind, Module, NetIndex, Port, SigBit, SigSpec,
 use smartly_opt::{muxtree_roots, slot_child};
 use std::collections::{HashMap, HashSet};
 
+/// Minimum estimated AIG-area saving required to rebuild.
+const MIN_SAVING: i64 = 1;
+
 /// Configuration for [`restructure`].
 #[derive(Copy, Clone, Debug)]
 pub struct RestructureOptions {
     /// Maximum distinct control bits per tree (table is `2^width`).
     pub max_ctrl_width: u32,
-    /// Minimum estimated AIG-area saving required to rebuild.
-    pub min_saving: i64,
-    /// Refuse rebuilds whose ADD is deeper than the original chain.
-    pub respect_height: bool,
 }
 
 impl Default for RestructureOptions {
     fn default() -> Self {
-        RestructureOptions {
-            max_ctrl_width: 14,
-            min_saving: 1,
-            respect_height: true,
-        }
+        RestructureOptions { max_ctrl_width: 14 }
     }
 }
 
@@ -179,9 +174,9 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
             .sum();
         let mux_gain = (old_muxes as i64 - new_muxes as i64) * 3 * collected.width as i64;
         let saving = eq_gain + mux_gain;
-        let height_ok =
-            !options.respect_height || add.depth() <= old_muxes.max(add.width() as usize);
-        if saving < options.min_saving || !height_ok {
+        // refuse rebuilds whose ADD is deeper than the original chain
+        let height_ok = add.depth() <= old_muxes.max(add.width() as usize);
+        if saving < MIN_SAVING || !height_ok {
             continue;
         }
 
@@ -643,10 +638,7 @@ mod tests {
         let inner = m.mux(&p[2], &p[1], &e1);
         let outer = m.mux(&inner, &p[0], &e0);
         m.add_output("y", &outer);
-        let opts = RestructureOptions {
-            max_ctrl_width: 8,
-            ..Default::default()
-        };
+        let opts = RestructureOptions { max_ctrl_width: 8 };
         let stats = restructure(&mut m, &opts);
         assert_eq!(stats.candidates, 0);
         assert_eq!(stats.rebuilt, 0);

@@ -23,27 +23,28 @@ use smartly_sat::Deadline;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Sub-graph distance bound `k` (paper §II).
+const K: usize = 6;
+
+/// Hard cap on decide queries per sweep (safety valve).
+const MAX_QUERIES: usize = 100_000;
+
+/// Skip queries whose extracted sub-graph exceeds this many cells — the
+/// paper's guard against the pass "becoming a bottleneck in the overall
+/// circuit synthesis workflow".
+const MAX_SUBGRAPH_CELLS: usize = 3_000;
+
 /// Configuration for [`sat_redundancy`].
 #[derive(Copy, Clone, Debug)]
 pub struct SatRedundancyOptions {
-    /// Sub-graph distance bound `k` (paper §II).
-    pub k: usize,
     /// Free-leaf count at or below which exhaustive simulation decides.
     pub sim_threshold: usize,
-    /// Free-leaf count at or below which SAT decides; larger cones skip.
-    pub sat_threshold: usize,
     /// SAT conflict budget per query.
     pub conflict_budget: u64,
     /// Apply Theorem II.1 sub-graph pruning (ablation switch).
     pub prune: bool,
     /// Apply Table I inference rules before sim/SAT (ablation switch).
     pub inference: bool,
-    /// Hard cap on decide queries per sweep (safety valve).
-    pub max_queries: usize,
-    /// Skip queries whose extracted sub-graph exceeds this many cells —
-    /// the paper's guard against the pass "becoming a bottleneck in the
-    /// overall circuit synthesis workflow".
-    pub max_subgraph_cells: usize,
     /// Measure the raw distance-`k` gather for the pruning statistics
     /// (paper's ~80% claim); costs extra graph walks, off by default.
     pub measure_gather: bool,
@@ -68,14 +69,10 @@ impl Default for SatRedundancyOptions {
     fn default() -> Self {
         let decide = DecideOptions::default();
         SatRedundancyOptions {
-            k: 6,
             sim_threshold: decide.sim_threshold,
-            sat_threshold: decide.sat_threshold,
             conflict_budget: decide.conflict_budget,
             prune: true,
             inference: true,
-            max_queries: 100_000,
-            max_subgraph_cells: 3_000,
             measure_gather: false,
             incremental: true,
             prefilter_rounds: QueryEngineOptions::default().prefilter_rounds,
@@ -86,13 +83,13 @@ impl Default for SatRedundancyOptions {
 
 /// State a [`sat_redundancy_with`] sweep inherits from earlier sweeps of
 /// the *same module*: the verdict memo (cross-round carryover) plus the
-/// optional design-level shared counterexample bank, and the cell
-/// fingerprints backing the dirty-set invalidation protocol.
+/// optional design-level shared counterexample bank and verdict store.
 ///
-/// [`crate::Pipeline`] keeps one context per module across its rounds;
-/// [`SweepContext::begin_round`] must be called before each sweep so
-/// entries covering mutated cones are dropped and carryover accounting
-/// starts a new round.
+/// [`crate::Pipeline`] keeps one context per module across its rounds and
+/// calls [`SweepContext::begin_round`] before each sweep, so carryover
+/// accounting starts a new round. The memo needs no invalidation between
+/// rounds: its keys are canonical, so a cone that a rebuild, clean or
+/// pinning pass changed keys differently and simply misses.
 #[derive(Clone, Debug, Default)]
 pub struct SweepContext {
     /// The persistent cone-verdict memo.
@@ -111,8 +108,6 @@ pub struct SweepContext {
     /// engine (and through it the CDCL solver). [`Deadline::none`] — the
     /// default — costs nothing.
     pub deadline: Deadline,
-    /// Cell fingerprints at the end of the previous round, if any.
-    fingerprints: Option<HashMap<CellId, u64>>,
 }
 
 impl SweepContext {
@@ -128,27 +123,15 @@ impl SweepContext {
             verdicts,
             trace: smartly_telemetry::TraceHandle::disabled(),
             deadline: Deadline::none(),
-            fingerprints: None,
         }
     }
 
-    /// Prepares the context for the next sweep of `module`: diffs the
-    /// module's cell fingerprints against the previous round's snapshot,
-    /// drops every memo entry whose cone covers a dirty cell, snapshots
-    /// the current fingerprints, and advances the round counter. Returns
-    /// the number of entries invalidated.
-    pub fn begin_round(&mut self, module: &Module) -> usize {
-        let current = NetIndex::fingerprints(module);
-        let invalidated = match &self.fingerprints {
-            Some(prev) => {
-                let dirty = NetIndex::dirty_between(prev, &current);
-                self.memo.invalidate(&dirty)
-            }
-            None => 0,
-        };
-        self.fingerprints = Some(current);
+    /// Prepares the context for the next sweep: advances the memo's
+    /// round counter, so hits on entries decided before this call count
+    /// as [`SatPassStats::memo_carryover`]. The module is not read; the
+    /// parameter stays for existing callers.
+    pub fn begin_round(&mut self, _module: &Module) {
         self.memo.next_round();
-        invalidated
     }
 }
 
@@ -177,8 +160,6 @@ pub struct SatPassStats {
     /// Conclusive verdicts this sweep published to the design-level
     /// verdict store.
     pub verdicts_published: usize,
-    /// Memo entries invalidated by the dirty-set protocol between rounds.
-    pub memo_invalidated: usize,
     /// Queries refuted by replaying the design-level shared bank's
     /// vectors (engine mode with a shared bank attached).
     pub by_shared_cex: usize,
@@ -223,9 +204,9 @@ pub struct SatPassStats {
 
 impl SatPassStats {
     /// One-line human-readable summary of the CDCL solver counters — the
-    /// single source for the pipeline report, the corpus solver bench,
-    /// and `smartly stats --solver`, so a new counter is threaded through
-    /// one format string instead of three.
+    /// single source for the pipeline report and the corpus solver bench,
+    /// so a new counter is threaded through one format string instead of
+    /// two.
     pub fn solver_summary(&self) -> String {
         format!(
             "{} conflicts, {} propagations, {} learnts ({} core), {} reduces, {} arena-gcs, {} restarts, {} resets",
@@ -256,7 +237,6 @@ impl SatPassStats {
         self.memo_carryover += o.memo_carryover;
         self.by_disk_verdict += o.by_disk_verdict;
         self.verdicts_published += o.verdicts_published;
-        self.memo_invalidated += o.memo_invalidated;
         self.by_shared_cex += o.by_shared_cex;
         self.by_prefilter += o.by_prefilter;
         self.prefilter_rounds += o.prefilter_rounds;
@@ -284,8 +264,6 @@ impl SatPassStats {
 /// [`sat_redundancy_with`] to carry verdict memos across sweeps or
 /// participate in a design-level shared bank.
 pub fn sat_redundancy(module: &mut Module, options: &SatRedundancyOptions) -> SatPassStats {
-    // a throwaway context: no begin_round — fingerprinting the module
-    // buys nothing when the memo dies with this call
     let mut ctx = SweepContext::new(None, None);
     sat_redundancy_with(module, options, &mut ctx)
 }
@@ -294,8 +272,8 @@ pub fn sat_redundancy(module: &mut Module, options: &SatRedundancyOptions) -> Sa
 /// seeded with the context's verdict memo and shared bank, and the memo
 /// (grown by this sweep) is handed back through the context.
 ///
-/// Callers must invoke [`SweepContext::begin_round`] between sweeps of a
-/// mutated module so stale cone entries are invalidated first.
+/// Call [`SweepContext::begin_round`] between sweeps so that
+/// `memo_carryover` counts the hits on entries from earlier sweeps.
 pub fn sat_redundancy_with(
     module: &mut Module,
     options: &SatRedundancyOptions,
@@ -312,8 +290,8 @@ pub fn sat_redundancy_with(
     let mut cone_cache = ConeCache::new();
     let decide_opts = DecideOptions {
         sim_threshold: options.sim_threshold,
-        sat_threshold: options.sat_threshold,
         conflict_budget: options.conflict_budget,
+        ..DecideOptions::default()
     };
     // the stateful query funnel (one per sweep; the netlist is immutable
     // until the pins are applied at the end), seeded from the context's
@@ -325,7 +303,6 @@ pub fn sat_redundancy_with(
             QueryEngineOptions {
                 decide: decide_opts,
                 prefilter_rounds: options.prefilter_rounds,
-                ..Default::default()
             },
             std::mem::take(&mut ctx.memo),
             ctx.shared.clone(),
@@ -339,7 +316,7 @@ pub fn sat_redundancy_with(
     // decide a select bit the path condition leaves open: extraction,
     // Table I inference, then the funnel (or a fresh decide per query)
     let pins = walk_muxtrees(module, &index, |sel, known| {
-        if stats.queries >= options.max_queries {
+        if stats.queries >= MAX_QUERIES {
             return None;
         }
         stats.queries += 1;
@@ -349,13 +326,13 @@ pub fn sat_redundancy_with(
             &ranks,
             sel,
             known,
-            options.k,
+            K,
             options.prune,
             options.measure_gather,
             &mut cone_cache,
         );
         stats.absorb_subgraph(sg_stats);
-        if sub.cells.len() > options.max_subgraph_cells {
+        if sub.cells.len() > MAX_SUBGRAPH_CELLS {
             return None; // too large: forgo the query (paper threshold)
         }
         let mut assign = known.clone();

@@ -128,9 +128,9 @@ fn engine_matches_legacy_with_sat_forced() {
 /// Cross-round memo persistence through the full pipeline: round 1
 /// proves and pins a dependent-control cone (which `clean` then
 /// mutates), round 2 re-queries a *stable* undecidable cone whose
-/// carried verdict answers by memo — and the invalidation protocol
-/// drops the entries covering the mutated cells, so the pipeline's
-/// result is bit-identical to the legacy fresh-solver path.
+/// carried verdict answers by memo — and every carried entry is keyed
+/// canonically, so the pipeline's result is bit-identical to the legacy
+/// fresh-solver path.
 #[test]
 fn cross_round_memo_carries_and_invalidates_through_the_pipeline() {
     use smartly_core::{OptLevel, Pipeline};
@@ -209,15 +209,10 @@ fn cross_round_memo_carries_and_invalidates_through_the_pipeline() {
     );
 
     // three-round pipeline: the stable cone's round-2 query replays the
-    // carried entry, and the fig3 cleanup dirtied round-1 entries
+    // carried entry
     assert!(
         rep_inc.sat_stats.memo_carryover > 0,
         "no cross-round memo hit: {:?}",
-        rep_inc.sat_stats
-    );
-    assert!(
-        rep_inc.sat_stats.memo_invalidated > 0,
-        "no stale entry was invalidated: {:?}",
         rep_inc.sat_stats
     );
 }

@@ -61,15 +61,6 @@ impl Default for CorpusOptions {
     }
 }
 
-/// Parses a CLI-style scale name (`tiny|small|paper|medium|large`).
-pub fn scale_from_str(s: &str) -> Option<Scale> {
-    Scale::from_name(s)
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    s.name()
-}
-
 /// One circuit × level measurement.
 #[derive(Clone, Debug)]
 pub struct LevelResult {
@@ -385,7 +376,7 @@ impl CorpusReport {
     fn json_inner(&self, include_timing: bool) -> Json {
         let mut obj = Json::object();
         obj.set("bench", Json::Str("smartly corpus".into()));
-        obj.set("scale", Json::Str(scale_name(self.scale).into()));
+        obj.set("scale", Json::Str(self.scale.name().into()));
         if let Some(n) = self.cases {
             // a bounded run is a different benchmark: stamp the bound
             // into the digest so it never diffs clean against a full run
@@ -552,9 +543,8 @@ impl CorpusReport {
         )?;
         write!(
             f,
-            "memo carryover {} (invalidated {}), solver: {} conflicts / {} propagations / {} learnts / {} resets",
+            "memo carryover {}, solver: {} conflicts / {} propagations / {} learnts / {} resets",
             t.memo_carryover,
-            t.memo_invalidated,
             t.solver_conflicts,
             t.solver_propagations,
             t.solver_learnts,

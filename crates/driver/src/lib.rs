@@ -89,8 +89,8 @@ mod report;
 pub mod trace;
 
 pub use corpus::{
-    run_public_corpus, scale_from_str, CorpusOptions, CorpusReport, CorpusRow, KnowledgeBench,
-    LevelResult, SolverBench,
+    run_public_corpus, CorpusOptions, CorpusReport, CorpusRow, KnowledgeBench, LevelResult,
+    SolverBench,
 };
 pub use curve::{jobs_ladder, run_scaling_curve, CurveOptions, CurvePoint, CurveReport};
 pub use engine::{

@@ -451,7 +451,6 @@ pub(crate) fn funnel_counters(s: &SatPassStats) -> Counters {
     let mut c = Counters::new();
     c.add("by_memo", s.by_memo as u64)
         .add("memo_carryover", s.memo_carryover as u64)
-        .add("memo_invalidated", s.memo_invalidated as u64)
         .add("by_disk_verdict", s.by_disk_verdict as u64)
         .add("verdicts_published", s.verdicts_published as u64)
         .add("by_shared_cex", s.by_shared_cex as u64)
@@ -643,8 +642,8 @@ impl DesignReport {
     }
 }
 
-/// One-line human rendering of the persistent-knowledge counters,
-/// shared by `smartly opt -v` and `smartly stats`.
+/// One-line human rendering of the persistent-knowledge counters, for
+/// `smartly opt -v`.
 pub(crate) fn kb_human_line(k: &KbReport) -> String {
     format!(
         "kb: loaded={}+{} disk_hits={} entries_written={} stale_rejected={} load_failed={} \

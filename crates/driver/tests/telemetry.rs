@@ -142,7 +142,6 @@ fn module_timing_json_schema_snapshot() {
         [
             "by_memo",
             "memo_carryover",
-            "memo_invalidated",
             "by_disk_verdict",
             "verdicts_published",
             "by_shared_cex",
@@ -284,7 +283,6 @@ fn corpus_bench_json_schema_snapshot() {
             "by_inference",
             "by_memo",
             "memo_carryover",
-            "memo_invalidated",
             "by_disk_verdict",
             "verdicts_published",
             "by_shared_cex",

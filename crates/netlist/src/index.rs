@@ -1,12 +1,8 @@
-//! Net connectivity index: alias resolution, drivers and fanouts — plus
-//! the cell-fingerprint dirty-set protocol that lets cross-round caches
-//! invalidate only the cones a netlist mutation actually touched.
+//! Net connectivity index: alias resolution, drivers and fanouts.
 
 use crate::bits::{SigBit, TriVal};
 use crate::cell::Port;
 use crate::module::{CellId, Module, PortDir};
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 
 /// The driver of a wire bit: one bit of one cell's output port.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -282,57 +278,6 @@ impl NetIndex {
             })
             .count()
     }
-
-    /// A per-cell structural fingerprint of every live cell: the cell's
-    /// kind plus its raw port and output bits.
-    ///
-    /// Two snapshots taken around a batch of mutations diff into a *dirty
-    /// set* ([`NetIndex::dirty_between`]): the cells that were removed or
-    /// rewired in between. Cross-round caches (the redundancy pass's
-    /// verdict memo) use the dirty set to drop exactly the entries whose
-    /// cones a `clean`/`merge`/`restructure` pass touched, and carry the
-    /// rest into the next round.
-    ///
-    /// Fingerprints hash *raw* (pre-canonicalization) bits, so a module
-    /// connection change that re-aliases a wire without rewiring the cell
-    /// is not flagged — sound for canonical-keyed caches, whose keys
-    /// change (and therefore miss) whenever canonicalization shifts the
-    /// extracted structure.
-    pub fn fingerprints(module: &Module) -> HashMap<CellId, u64> {
-        module
-            .cells()
-            .map(|(id, cell)| {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                (cell.kind as u32).hash(&mut h);
-                for (port, spec) in cell.inputs() {
-                    (port as u32).hash(&mut h);
-                    for b in spec.iter() {
-                        b.hash(&mut h);
-                    }
-                }
-                0xFFu32.hash(&mut h);
-                for b in cell.output().iter() {
-                    b.hash(&mut h);
-                }
-                (id, h.finish())
-            })
-            .collect()
-    }
-
-    /// The dirty set between two [`NetIndex::fingerprints`] snapshots:
-    /// every cell of `before` that no longer exists in `after` or whose
-    /// fingerprint changed. (Cells *added* since `before` are not dirty —
-    /// no cache entry can cover a cell that did not exist yet.)
-    pub fn dirty_between(
-        before: &HashMap<CellId, u64>,
-        after: &HashMap<CellId, u64>,
-    ) -> HashSet<CellId> {
-        before
-            .iter()
-            .filter(|(id, fp)| after.get(id) != Some(fp))
-            .map(|(&id, _)| id)
-            .collect()
-    }
 }
 
 /// Calls `f(bit, sink)` for every read of a bit: cell input pins by cell
@@ -401,48 +346,6 @@ mod tests {
         assert_eq!(idx.fanout_count(a.bit(0)), 3);
         assert!(idx.feeds_output(a.bit(0)));
         assert_eq!(idx.fanout_count(idx.canon(y1.bit(0))), 0);
-    }
-
-    #[test]
-    fn fingerprints_flag_exactly_the_touched_cells() {
-        let mut m = Module::new("t");
-        let a = m.add_input("a", 1);
-        let b = m.add_input("b", 1);
-        let x = m.and(&a, &b);
-        let y = m.or(&a, &b);
-        m.add_output("x", &x);
-        m.add_output("y", &y);
-        let before = NetIndex::fingerprints(&m);
-        assert_eq!(NetIndex::dirty_between(&before, &before).len(), 0);
-
-        // rewire the and-gate's B pin to a constant; the or-gate is
-        // untouched
-        let and_id = m
-            .cells()
-            .find(|(_, c)| c.kind == crate::cell::CellKind::And)
-            .map(|(id, _)| id)
-            .unwrap();
-        let or_id = m
-            .cells()
-            .find(|(_, c)| c.kind == crate::cell::CellKind::Or)
-            .map(|(id, _)| id)
-            .unwrap();
-        let spec = m
-            .cell_mut(and_id)
-            .unwrap()
-            .port_mut(Port::B)
-            .expect("and has B");
-        spec.bits_mut()[0] = SigBit::Const(crate::bits::TriVal::One);
-        let after = NetIndex::fingerprints(&m);
-        let dirty = NetIndex::dirty_between(&before, &after);
-        assert!(dirty.contains(&and_id));
-        assert!(!dirty.contains(&or_id));
-
-        // removing a cell dirties it too
-        m.remove_cell(or_id);
-        let after2 = NetIndex::fingerprints(&m);
-        let dirty2 = NetIndex::dirty_between(&before, &after2);
-        assert!(dirty2.contains(&or_id));
     }
 
     #[test]

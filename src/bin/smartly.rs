@@ -5,7 +5,7 @@
 //!             [--verify] [--json report.json] [-o out.v]
 //!             [--max-cells N] [--timeout-ms N] [--no-memo]
 //!             [--trace trace.json] [--digest digest.json] [--quiet|-v]
-//! smartly stats <file.v> [--solver] [--level L] [--knowledge-file F]
+//! smartly stats <file.v>
 //! smartly corpus [--scale tiny|small|paper|medium|large] [--jobs N]
 //!                [--cases N] [--verify] [--json BENCH_driver.json]
 //!                [--digest digest.json] [--trace-dir DIR] [--quiet]
@@ -17,11 +17,11 @@
 //! ```
 
 use smartly_driver::{
-    chrome_trace_json, level_from_str, optimize_design, optimize_source, run_public_corpus,
-    run_scaling_curve, scale_from_str, CorpusOptions, CurveOptions, DriverOptions, KnowledgeState,
-    StoreKey, TraceSummary, Verbosity,
+    chrome_trace_json, level_from_str, optimize_source, run_public_corpus, run_scaling_curve,
+    CorpusOptions, CurveOptions, DriverOptions, KnowledgeState, StoreKey, TraceSummary, Verbosity,
 };
 use smartly_netlist::CellStats;
+use smartly_workloads::Scale;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,12 +50,7 @@ const USAGE: &str = "smartly — SAT-based RTL optimization (smaRTLy reproductio
 USAGE:
   smartly opt <file.v> [OPTIONS]     parse, optimize all modules in
                                      parallel, and emit Verilog
-  smartly stats <file.v> [--solver]  per-module cell statistics; with
-                                     --solver (optionally --level L) also
-                                     optimize a scratch copy and print
-                                     the per-design CDCL solver summary
-                                     (conflicts, learnt tiers, reduces,
-                                     arena GCs, restarts)
+  smartly stats <file.v>             per-module cell statistics
   smartly corpus [OPTIONS]           run the public workload suite and
                                      print a Table-III-style summary
   smartly trace <trace.json>         validate an exported span trace and
@@ -131,15 +126,6 @@ CORPUS OPTIONS:
   --quiet, -q                        suppress the per-circuit table
   --no-knowledge, --knowledge-file <path>, --no-knowledge-save  as above
   --jobs <N>, --verify, --json <path> as above
-
-STATS OPTIONS:
-  --solver                           also optimize a scratch copy and
-                                     print the solver/funnel summary
-  --level <yosys|sat|rebuild|full>   level for the scratch run
-  --knowledge-file <path>            attach the persistent knowledge
-                                     store to the scratch run and report
-                                     its load/hit/save counters
-  --no-knowledge-save                read-only knowledge attach
 
 SERVE OPTIONS:
   --socket <path>                    Unix socket to listen on (default:
@@ -432,12 +418,7 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let solver = take_flag(&mut args, "--solver");
-    let level = take_value(&mut args, &["--level"])?;
-    let knowledge_file = take_value(&mut args, &["--knowledge-file"])?;
-    let knowledge_save = !take_flag(&mut args, "--no-knowledge-save");
-    let input = positional(args, "input file")?;
+    let input = positional(args.to_vec(), "input file")?;
     let design = compile_file(&input)?;
     for (i, is_top, module) in design.iter_with_top() {
         let marker = if is_top { " (top)" } else { "" };
@@ -447,72 +428,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             outln!();
         }
     }
-    if solver || level.is_some() || knowledge_file.is_some() {
-        // run the pipeline on a scratch copy and surface the per-design
-        // solver/funnel summary, so ablations over one design do not
-        // need the corpus runner
-        let mut opts = DriverOptions::default();
-        if let Some(level) = level {
-            opts.level = level_from_str(&level)
-                .ok_or_else(|| format!("unknown level '{level}' (yosys|sat|rebuild|full)"))?;
-        }
-        let budget = opts.pipeline.sat.conflict_budget;
-        let store_bound = opts.pipeline.sat.cex_bank_capacity;
-        if let Some(path) = &knowledge_file {
-            opts.knowledge_state = Some(load_knowledge(path, budget, opts.knowledge_capacity));
-        }
-        let mut scratch = design;
-        let mut report = optimize_design(&mut scratch, &opts).map_err(|e| e.to_string())?;
-        if let (Some(path), Some(state)) = (&knowledge_file, &opts.knowledge_state) {
-            if knowledge_save {
-                let save = save_knowledge(path, state, budget, store_bound);
-                save.record(report.kb.as_mut());
-            }
-        }
-        let mut sat = smartly_core::sat_pass::SatPassStats::default();
-        for m in &report.modules {
-            if let Some(r) = &m.report {
-                sat.absorb(&r.sat_stats);
-            }
-        }
-        outln!();
-        outln!(
-            "solver ({} level): {} queries ({} to SAT), {}",
-            opts.level.name(),
-            sat.queries,
-            sat.by_sat,
-            sat.solver_summary(),
-        );
-        // fault-tolerance counters: how many modules were isolated after
-        // a panic, how often the cooperative deadline was polled
-        outln!(
-            "faults: modules_poisoned={} deadline_checks={}",
-            report.poisoned(),
-            sat.solver_deadline_checks,
-        );
-        // persistence counters, surfaced in human output: did the store
-        // load, did the disk layer answer anything, was it saved (and at
-        // what retry cost).
-        if let Some(kb) = &report.kb {
-            let disk_hits = report
-                .knowledge
-                .as_ref()
-                .map_or(kb.disk_hits, |k| k.disk_hits);
-            outln!(
-                "knowledge store: loaded {} shapes + {} verdicts, disk_hits={}, \
-                 entries_written={}, stale_rejected={}, load_failed={}, \
-                 save_failed={}, save_retries={}",
-                kb.loaded_shapes,
-                kb.loaded_verdicts,
-                disk_hits,
-                kb.entries_written,
-                kb.stale_rejected,
-                kb.load_failed,
-                kb.save_failed,
-                kb.save_retries,
-            );
-        }
-    }
     Ok(())
 }
 
@@ -520,7 +435,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let mut opts = CorpusOptions::default();
     if let Some(scale) = take_value(&mut args, &["--scale"])? {
-        opts.scale = scale_from_str(&scale)
+        opts.scale = Scale::from_name(&scale)
             .ok_or_else(|| format!("unknown scale '{scale}' (tiny|small|paper|medium|large)"))?;
     }
     if let Some(jobs) = take_value(&mut args, &["--jobs", "-j"])? {
@@ -560,7 +475,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
             curve_opts.scales = list
                 .split(',')
                 .map(|s| {
-                    scale_from_str(s.trim()).ok_or_else(|| {
+                    Scale::from_name(s.trim()).ok_or_else(|| {
                         format!("unknown scale '{s}' (tiny|small|paper|medium|large)")
                     })
                 })
