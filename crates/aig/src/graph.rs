@@ -1,7 +1,5 @@
 //! The structurally hashed and-inverter graph.
 
-use std::collections::HashMap;
-
 /// A literal into an [`Aig`]: node index with a complement bit.
 ///
 /// `AigLit(0)` is constant **false**, `AigLit(1)` constant **true**.
@@ -13,6 +11,9 @@ impl AigLit {
     pub const FALSE: AigLit = AigLit(0);
     /// Constant true.
     pub const TRUE: AigLit = AigLit(1);
+    /// A literal of no node, for the empty entries of dense tables: the
+    /// graph never grows to its node, `2^31 − 1`.
+    pub(crate) const NONE: AigLit = AigLit(u32::MAX);
 
     fn new(node: u32, complement: bool) -> Self {
         AigLit(node << 1 | u32::from(complement))
@@ -67,20 +68,35 @@ pub enum AigNode {
 /// ANDs are canonicalized (ordered fanins, constant/identity folding) and
 /// deduplicated, so building the same function twice yields the same
 /// literal — the `aigmap`-level equivalent of Yosys' strashing.
-#[derive(Clone, Debug, Default)]
+///
+/// Nodes are numbered in creation order. The structural hash is an
+/// open-addressing table (linear probing, a power-of-two size, at most
+/// half full) of AND-node indices, where 0 marks an empty slot: node 0
+/// is the constant, never an AND. A slot's fanin pair is read back from
+/// the node itself, so the table stores no keys, 4 bytes a slot.
+#[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<AigNode>,
-    strash: HashMap<(AigLit, AigLit), u32>,
+    strash: Vec<u32>,
     /// node indices of inputs, in creation order
     inputs: Vec<u32>,
 }
+
+impl Default for Aig {
+    fn default() -> Self {
+        Aig::new()
+    }
+}
+
+/// The smallest strash table, in slots.
+const MIN_SLOTS: usize = 64;
 
 impl Aig {
     /// Creates an AIG containing only the constant node.
     pub fn new() -> Self {
         Aig {
             nodes: vec![AigNode::Const],
-            strash: HashMap::new(),
+            strash: Vec::new(),
             inputs: Vec::new(),
         }
     }
@@ -102,10 +118,17 @@ impl Aig {
 
     /// Adds a primary input and returns its positive literal.
     pub fn add_input(&mut self) -> AigLit {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(AigNode::Input);
+        let idx = self.push(AigNode::Input);
         self.inputs.push(idx);
         AigLit::new(idx, false)
+    }
+
+    /// Appends a node and returns its index.
+    fn push(&mut self, node: AigNode) -> u32 {
+        let idx = self.nodes.len() as u32;
+        assert!(idx < AigLit::NONE.node(), "AIG node limit reached");
+        self.nodes.push(node);
+        idx
     }
 
     /// AND with structural hashing and folding.
@@ -121,13 +144,45 @@ impl Aig {
             return a;
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&idx) = self.strash.get(&(a, b)) {
-            return AigLit::new(idx, false);
+        let ands = self.nodes.len() - 1 - self.inputs.len();
+        if 2 * (ands + 1) > self.strash.len() {
+            self.grow_strash();
         }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(AigNode::And(a, b));
-        self.strash.insert((a, b), idx);
-        AigLit::new(idx, false)
+        let slot = self.strash_slot(a, b);
+        if self.strash[slot] == 0 {
+            self.strash[slot] = self.push(AigNode::And(a, b));
+        }
+        AigLit::new(self.strash[slot], false)
+    }
+
+    /// The strash slot that holds the AND of `a` and `b` (ordered), or
+    /// the empty slot where it belongs.
+    fn strash_slot(&self, a: AigLit, b: AigLit) -> usize {
+        let key = u64::from(a.0) << 32 | u64::from(b.0);
+        // Fibonacci hashing: the top bits of the product index the table
+        let bits = self.strash.len().trailing_zeros();
+        let mask = self.strash.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        loop {
+            let idx = self.strash[slot];
+            if idx == 0 || self.nodes[idx as usize] == AigNode::And(a, b) {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the strash table and re-slots every AND node.
+    fn grow_strash(&mut self) {
+        let slots = (2 * self.strash.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.strash, vec![0; slots]);
+        for idx in old.into_iter().filter(|&idx| idx != 0) {
+            let AigNode::And(a, b) = self.nodes[idx as usize] else {
+                unreachable!("the strash holds only AND nodes");
+            };
+            let slot = self.strash_slot(a, b);
+            self.strash[slot] = idx;
+        }
     }
 
     /// OR via De Morgan.
@@ -254,6 +309,67 @@ mod tests {
         let y2 = g.and(b, a); // commuted
         assert_eq!(y1, y2);
         assert_eq!(g.count_ands(&[y1]), 1);
+    }
+
+    /// A seeded stream of ANDs over inputs, constants and earlier
+    /// results, long enough to grow the table several times, gets the
+    /// same literal for every call as folding plus a `HashMap` keyed by
+    /// the ordered fanins, and the same node count.
+    #[test]
+    fn strash_matches_a_hash_map_oracle() {
+        use std::collections::HashMap;
+        let mut g = Aig::new();
+        let mut lits: Vec<AigLit> = (0..16).map(|_| g.add_input()).collect();
+        lits.extend([AigLit::FALSE, AigLit::TRUE]);
+        let mut oracle: HashMap<(AigLit, AigLit), AigLit> = HashMap::new();
+        let mut oracle_nodes = 1 + 16;
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..40_000 {
+            let mut pick = || {
+                let r = next();
+                // half the picks come from the first literals, so that
+                // many pairs repeat and hit the table
+                let range = if r & 1 == 0 {
+                    lits.len()
+                } else {
+                    lits.len().min(24)
+                };
+                let lit = lits[(r >> 8) as usize % range];
+                if r & 2 == 0 {
+                    lit
+                } else {
+                    !lit
+                }
+            };
+            let (a, b) = (pick(), pick());
+            let want = if a == AigLit::FALSE || b == AigLit::FALSE || a == !b {
+                AigLit::FALSE
+            } else if a == AigLit::TRUE {
+                b
+            } else if b == AigLit::TRUE || a == b {
+                a
+            } else {
+                *oracle.entry((a.min(b), a.max(b))).or_insert_with(|| {
+                    oracle_nodes += 1;
+                    AigLit::from_node(oracle_nodes as u32 - 1)
+                })
+            };
+            assert_eq!(g.and(a, b), want, "and({a:?}, {b:?})");
+            lits.push(want);
+        }
+        assert_eq!(g.node_count(), oracle_nodes);
+        assert!(oracle.len() < 40_000, "the stream repeated pairs");
+        assert!(
+            g.strash.len() >= 64 * MIN_SLOTS,
+            "the stream crossed several growths ({} slots)",
+            g.strash.len()
+        );
     }
 
     #[test]

@@ -190,14 +190,20 @@ impl SharedMapper {
     ) -> Result<Vec<(String, Vec<AigLit>)>, NetlistError> {
         let index = NetIndex::build(module);
         let order = module.topo_order_with(&index)?;
-        let mut lit_of: HashMap<SigBit, AigLit> = HashMap::new();
+        // the literal of each bit by bit id; `AigLit::NONE` is undriven
+        let mut lit_of: Vec<AigLit> = vec![AigLit::NONE; index.bit_count()];
+        let bind = |lit_of: &mut [AigLit], bit: SigBit, lit: AigLit| {
+            if let Some(i) = index.bit_id(bit) {
+                lit_of[i] = lit;
+            }
+        };
 
         // 1. module input ports (shared by name)
         for p in module.input_ports() {
             let w = module.wire(p.wire).width;
             let lits = self.input_lits(&p.name, w as usize)?;
             for (i, l) in lits.iter().enumerate() {
-                lit_of.insert(SigBit::Wire(p.wire, i as u32), *l);
+                bind(&mut lit_of, SigBit::Wire(p.wire, i as u32), *l);
             }
         }
 
@@ -214,27 +220,24 @@ impl SharedMapper {
             let q = cell.port(Port::Q).expect("dff Q bound");
             let lits = self.input_lits(&format!("dff${k}"), q.width())?;
             for (bit, l) in q.iter().zip(lits) {
-                lit_of.insert(index.canon(*bit), l);
+                bind(&mut lit_of, index.canon(*bit), l);
             }
         }
 
         // 3. combinational cells in topological order
-        let resolve = |spec: &SigSpec,
-                       lit_of: &HashMap<SigBit, AigLit>|
-         -> Result<Vec<AigLit>, NetlistError> {
+        let resolve = |spec: &SigSpec, lit_of: &[AigLit]| -> Result<Vec<AigLit>, NetlistError> {
             spec.iter()
                 .map(|b| match index.canon(*b) {
                     SigBit::Const(TriVal::One) => Ok(AigLit::TRUE),
                     SigBit::Const(_) => Ok(AigLit::FALSE),
-                    wire_bit => {
-                        lit_of
-                            .get(&wire_bit)
-                            .copied()
-                            .ok_or_else(|| NetlistError::NotFound {
-                                module: module.name.clone(),
-                                name: format!("driver of {wire_bit:?}"),
-                            })
-                    }
+                    wire_bit => index
+                        .bit_id(wire_bit)
+                        .map(|i| lit_of[i])
+                        .filter(|&lit| lit != AigLit::NONE)
+                        .ok_or_else(|| NetlistError::NotFound {
+                            module: module.name.clone(),
+                            name: format!("driver of {wire_bit:?}"),
+                        }),
                 })
                 .collect()
         };
@@ -262,7 +265,7 @@ impl SharedMapper {
             let w = cell.output().width();
             let out = map_cell(&mut self.aig, cell.kind, &a, &b, &s, w);
             for (bit, lit) in cell.output().iter().zip(out) {
-                lit_of.insert(index.canon(*bit), lit);
+                bind(&mut lit_of, index.canon(*bit), lit);
             }
         }
 
@@ -515,6 +518,21 @@ mod tests {
         m.add_output("y2", &y2);
         let mapped = aigmap(&m).unwrap();
         assert_eq!(mapped.area(), 4); // shared, not 8
+    }
+
+    #[test]
+    fn undriven_consumed_bit_is_not_found() {
+        // a cell input that nothing drives
+        let mut m = Module::new("t");
+        let w = SigSpec::from_wire(m.auto_wire(2), 2);
+        let y = m.not(&w);
+        m.add_output("y", &y);
+        assert!(matches!(aigmap(&m), Err(NetlistError::NotFound { .. })));
+        // an output port bit that nothing drives
+        let mut m = Module::new("t");
+        let w = m.auto_wire(1);
+        m.mark_output(w);
+        assert!(matches!(aigmap(&m), Err(NetlistError::NotFound { .. })));
     }
 
     #[test]

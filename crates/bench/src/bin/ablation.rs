@@ -18,7 +18,7 @@ use smartly_bench::scale_from_args;
 use smartly_core::{sat_redundancy, SatRedundancyOptions};
 use smartly_driver::{optimize_design, DriverOptions};
 use smartly_netlist::Design;
-use smartly_opt::{baseline_optimize, clean_pipeline};
+use smartly_opt::{baseline_optimize, clean_pipeline, Settled};
 use smartly_workloads::public_corpus;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     );
     for case in public_corpus(scale).into_iter().take(5) {
         let mut with = case.compile().expect("compiles");
-        baseline_optimize(&mut with);
+        baseline_optimize(&mut with, &mut Settled::Unknown);
         let mut without = with.clone();
 
         let t0 = std::time::Instant::now();
@@ -45,7 +45,7 @@ fn main() {
             },
         );
         let t_on = t0.elapsed().as_millis();
-        clean_pipeline(&mut with, 8);
+        clean_pipeline(&mut with);
 
         let t1 = std::time::Instant::now();
         let off = sat_redundancy(
@@ -57,7 +57,7 @@ fn main() {
             },
         );
         let t_off = t1.elapsed().as_millis();
-        clean_pipeline(&mut without, 8);
+        clean_pipeline(&mut without);
 
         let dismissed = if on.gates_before_prune > 0 {
             100.0 * (1.0 - on.gates_after_prune as f64 / on.gates_before_prune as f64)
@@ -94,7 +94,7 @@ fn main() {
         ("no Table I inference", 10, false),
     ] {
         let mut m = case.compile().expect("compiles");
-        baseline_optimize(&mut m);
+        baseline_optimize(&mut m, &mut Settled::Unknown);
         let t = std::time::Instant::now();
         let stats = sat_redundancy(
             &mut m,
@@ -123,7 +123,7 @@ fn main() {
     );
     for case in public_corpus(scale).into_iter().take(5) {
         let mut inc = case.compile().expect("compiles");
-        baseline_optimize(&mut inc);
+        baseline_optimize(&mut inc, &mut Settled::Unknown);
         let mut fresh = inc.clone();
 
         // a generous budget keeps the verdict-identity assert exact: a

@@ -5,7 +5,7 @@ use crate::restructure::{restructure, RestructureOptions, RestructureStats};
 use crate::sat_pass::{sat_redundancy_with, SatPassStats, SatRedundancyOptions, SweepContext};
 use smartly_aig::{aig_area, check_equiv, EquivOptions, EquivResult};
 use smartly_netlist::{Module, NetlistError};
-use smartly_opt::{baseline_optimize, clean_pipeline};
+use smartly_opt::{baseline_optimize, clean_pipeline, Settled};
 use smartly_sat::Deadline;
 use smartly_telemetry::{ArgValue, TraceHandle};
 use std::sync::Arc;
@@ -225,9 +225,13 @@ impl Pipeline {
             ..Default::default()
         };
 
+        // every pass below that reports a change is followed by the
+        // cleanup fixpoint, and one that reports none mutated nothing, so
+        // `settled` skips each cleanup and baseline run that would return 0
+        let mut settled = Settled::Unknown;
         {
             let _span = trace.scope("pass:baseline");
-            report.baseline_rewrites += baseline_optimize(module);
+            report.baseline_rewrites += baseline_optimize(module, &mut settled);
         }
 
         // cross-round sweep state: the verdict memo persists over the
@@ -253,7 +257,10 @@ impl Pipeline {
                 report.rebuild_stats.muxes_removed += st.muxes_removed;
                 report.rebuild_stats.muxes_added += st.muxes_added;
                 report.rebuild_stats.eqs_freed += st.eqs_freed;
-                report.cells_cleaned += clean_pipeline(module, 8);
+                if st.rebuilt > 0 {
+                    report.cells_cleaned += clean_pipeline(module);
+                    settled = Settled::Clean;
+                }
             }
             if matches!(level, OptLevel::SatOnly | OptLevel::Full) {
                 let _span = trace.scope("pass:sat");
@@ -262,17 +269,24 @@ impl Pipeline {
                 changed |= st.rewrites > 0;
                 report.sat_rewrites += st.rewrites;
                 report.sat_stats.absorb(&st);
-                report.cells_cleaned += clean_pipeline(module, 8);
+                if st.rewrites > 0 {
+                    report.cells_cleaned += clean_pipeline(module);
+                    settled = Settled::Clean;
+                }
                 // pinned selects may expose new baseline opportunities
-                report.baseline_rewrites += baseline_optimize(module);
+                report.baseline_rewrites += baseline_optimize(module, &mut settled);
             }
             if !changed {
                 break;
             }
         }
         {
+            // every path above already ends at the cleanup fixpoint; the
+            // span stays so that each run's trace has the same passes
             let _span = trace.scope("pass:clean");
-            report.cells_cleaned += clean_pipeline(module, 8);
+            if settled == Settled::Unknown {
+                report.cells_cleaned += clean_pipeline(module);
+            }
         }
 
         report.area_after = aig_area(module)?;

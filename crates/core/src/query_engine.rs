@@ -25,9 +25,10 @@
 //!    published to the design-level [`SharedCexBank`] under the same
 //!    cone shape complete a refutation the prefilter started.
 //! 5. **Exhaustive simulation or incremental SAT**, routed by the
-//!    paper's hybrid rule ([`choose_engine`]). Small cones enumerate
-//!    their free leaves 64 vectors per pass through the same compiled
-//!    cone. The rest go to one shared [`TseitinEncoder`] per module.
+//!    paper's hybrid rule (`choose_engine` in [`crate::decide`]). Small
+//!    cones enumerate their free leaves 64 vectors per pass through the
+//!    same compiled cone. The rest go to one shared [`TseitinEncoder`]
+//!    per module.
 //!    Each cell's gate CNF is encoded exactly *once*; the clauses tying a
 //!    cell's function to its output net are guarded by a per-cell
 //!    *activation literal*, so a query is posed as

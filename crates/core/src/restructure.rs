@@ -558,7 +558,7 @@ mod tests {
         assert_eq!(stats.rebuilt, 1);
         assert_eq!(stats.muxes_added, 3, "paper Fig. 7: exactly 3 muxes");
         assert_eq!(stats.eqs_freed, 3);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("eq"), 0, "eq cells disconnected and swept");
         assert_eq!(m.stats().count("mux"), 3);
         m.validate().unwrap();
@@ -581,7 +581,7 @@ mod tests {
         let stats = restructure(&mut m, &RestructureOptions::default());
         assert_eq!(stats.rebuilt, 1);
         assert_eq!(stats.muxes_added, 3, "good assignment needs 3 MUXes");
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("eq"), 0);
         m.validate().unwrap();
     }
@@ -602,7 +602,7 @@ mod tests {
         let stats = restructure(&mut m, &RestructureOptions::default());
         assert_eq!(stats.rebuilt, 1);
         assert_eq!(stats.eqs_freed, 2, "the shared eq survives");
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("eq"), 1);
         m.validate().unwrap();
     }
@@ -663,7 +663,7 @@ mod tests {
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.rebuilt, 1);
         assert_eq!(stats.muxes_added, 3, "same optimum as the chain form");
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("pmux"), 0);
         assert_eq!(m.stats().count("eq"), 0);
         assert_eq!(m.stats().count("mux"), 3);
@@ -687,7 +687,7 @@ mod tests {
             m.add_output("y", &y);
             if restructured {
                 restructure(&mut m, &RestructureOptions::default());
-                clean_pipeline(&mut m, 8);
+                clean_pipeline(&mut m);
             }
             m
         };
@@ -713,7 +713,7 @@ mod tests {
         assert_eq!(stats.candidates, 1);
         // rebuild happens (eq freed outweighs the mux delta)
         assert_eq!(stats.rebuilt, 1);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("eq"), 0);
         m.validate().unwrap();
     }

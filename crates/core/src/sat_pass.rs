@@ -434,7 +434,7 @@ mod tests {
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.rewrites >= 1);
         assert_eq!(stats.by_inference, 1, "Table I should decide this one");
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 1);
         assert_eq!(m.stats().count("or"), 0, "the OR gate is dead too");
         m.validate().unwrap();
@@ -452,7 +452,7 @@ mod tests {
             };
             let stats = sat_redundancy(&mut m, &opts);
             assert!(stats.by_sim + stats.by_sat >= 1);
-            clean_pipeline(&mut m, 8);
+            clean_pipeline(&mut m);
             assert_eq!(m.stats().count("mux"), 1);
         }
     }
@@ -473,7 +473,7 @@ mod tests {
         m.add_output("y", &outer);
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         let _ = stats;
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 2, "no unsound collapse");
     }
 
@@ -491,7 +491,7 @@ mod tests {
         m.add_output("y", &outer);
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.rewrites >= 1);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 1);
     }
 
@@ -513,7 +513,7 @@ mod tests {
         m.add_output("y", &outer);
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.rewrites >= 1);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 1);
     }
 
@@ -530,7 +530,7 @@ mod tests {
         m.add_output("y", &outer);
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.rewrites >= 1);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 1);
     }
 
@@ -559,7 +559,7 @@ mod tests {
         m.add_output("y", &outer);
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.rewrites >= 1, "duplicate eq must be seen through");
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.stats().count("mux"), 1);
         m.validate().unwrap();
     }

@@ -411,6 +411,10 @@ impl CorpusReport {
                         q.set("queries", Json::UInt(lr.sat.queries as u64));
                         q.set("by_inference", Json::UInt(lr.sat.by_inference as u64));
                         if include_timing {
+                            // cache-invariant, but left out of the digest
+                            // so that digests stay comparable with earlier
+                            // runs' digests
+                            q.set("unreachable", Json::UInt(lr.sat.unreachable as u64));
                             // same registry as the module report: one
                             // registration point defines key names/order
                             for (name, value) in funnel_counters(&lr.sat).iter() {
@@ -522,7 +526,7 @@ impl CorpusReport {
         let t = self.funnel_totals();
         writeln!(
             f,
-            "query funnel (sat+full): {} queries = inference {} + memo {} + disk-verdict {} + shared-cex {} + prefilter {} + sim {} + sat-const {} + other {}",
+            "query funnel (sat+full): {} queries = inference {} + memo {} + disk-verdict {} + shared-cex {} + prefilter {} + sim {} + sat-const {} + unreachable {} + other {}",
             t.queries,
             t.by_inference,
             t.by_memo,
@@ -531,6 +535,10 @@ impl CorpusReport {
             t.by_prefilter,
             t.by_sim,
             t.by_sat,
+            t.unreachable,
+            // `other` is what simulation or SAT left undecided or
+            // skipped; an unreachable verdict replayed from the memo or
+            // disk counts under both its layer and `unreachable`
             t.queries.saturating_sub(
                 t.by_inference
                     + t.by_memo
@@ -539,6 +547,7 @@ impl CorpusReport {
                     + t.by_prefilter
                     + t.by_sim
                     + t.by_sat
+                    + t.unreachable
             ),
         )?;
         write!(

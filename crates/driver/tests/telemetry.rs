@@ -281,6 +281,7 @@ fn corpus_bench_json_schema_snapshot() {
         [
             "queries",
             "by_inference",
+            "unreachable",
             "by_memo",
             "memo_carryover",
             "by_disk_verdict",

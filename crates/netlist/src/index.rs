@@ -64,7 +64,12 @@ const DONE: u8 = 2;
 /// That keeps the design at one fresh build per pass: no index is kept
 /// up to date through a pass's mutations. Bits outside the module's
 /// wires (an out-of-range wire or offset) are their own canonical bit
-/// and have no driver and no fanout.
+/// and have no driver, no fanout and no id.
+///
+/// [`NetIndex::bit_id`] exposes the ids and [`NetIndex::bit_count`]
+/// their number, so a pass keeps per-bit state (constants, AIG literals,
+/// merge keys) in a vector indexed by the id of a canonical bit instead
+/// of a hash map keyed by the bit.
 ///
 /// # Example
 ///
@@ -121,8 +126,10 @@ impl NetIndex {
         index
     }
 
-    /// The dense id of `bit`, or `None` for a bit outside the module.
-    fn id(&self, bit: SigBit) -> Option<usize> {
+    /// The dense id of `bit`, in `0..bit_count()`, or `None` for a bit
+    /// outside the module. Index per-bit state by the id of a bit's
+    /// [`NetIndex::canon`] result, so that aliases share one entry.
+    pub fn bit_id(&self, bit: SigBit) -> Option<usize> {
         match bit {
             SigBit::Const(v) => Some(match v {
                 TriVal::Zero => 0,
@@ -137,9 +144,15 @@ impl NetIndex {
         }
     }
 
+    /// The number of dense bit ids: the three constants plus every wire
+    /// bit of the module.
+    pub fn bit_count(&self) -> usize {
+        self.canon.len()
+    }
+
     /// The dense id of `bit`'s canonical bit.
     fn canon_id(&self, bit: SigBit) -> Option<usize> {
-        self.id(self.canon(bit))
+        self.bit_id(self.canon(bit))
     }
 
     /// Records each connection `dst <- src` as a raw alias edge (a later
@@ -149,7 +162,7 @@ impl NetIndex {
         let mut state = vec![DONE; self.canon.len()];
         for (dst, src) in module.connections() {
             for (d, s) in dst.iter().zip(src.iter()) {
-                if let Some(i) = self.id(*d) {
+                if let Some(i) = self.bit_id(*d) {
                     self.canon[i] = *s;
                     state[i] = OPEN;
                 }
@@ -168,7 +181,7 @@ impl NetIndex {
                     _ => {
                         state[cur] = ON_PATH;
                         path.push(cur);
-                        match self.id(self.canon[cur]) {
+                        match self.bit_id(self.canon[cur]) {
                             Some(next) => cur = next,
                             None => break self.canon[cur],
                         }
@@ -235,7 +248,7 @@ impl NetIndex {
 
     /// Resolves a bit through module connections to its canonical source.
     pub fn canon(&self, bit: SigBit) -> SigBit {
-        self.id(bit).map_or(bit, |i| self.canon[i])
+        self.bit_id(bit).map_or(bit, |i| self.canon[i])
     }
 
     /// The cell driving a canonical bit, if any.
@@ -243,14 +256,14 @@ impl NetIndex {
     /// Pass the result of [`NetIndex::canon`]; a non-canonical bit has no
     /// driver entry.
     pub fn driver(&self, canonical_bit: SigBit) -> Option<Driver> {
-        self.id(canonical_bit).and_then(|i| self.driver[i])
+        self.bit_id(canonical_bit).and_then(|i| self.driver[i])
     }
 
     /// All sinks reading a canonical bit: cell input pins in cell id order
     /// (each cell's ports in [`crate::CellKind::input_ports`] order), then
     /// module output port bits in port order.
     pub fn fanout(&self, canonical_bit: SigBit) -> &[Sink] {
-        match self.id(canonical_bit) {
+        match self.bit_id(canonical_bit) {
             Some(i) => &self.sinks[self.fan_start[i] as usize..self.fan_start[i + 1] as usize],
             None => &[],
         }
@@ -346,6 +359,35 @@ mod tests {
         assert_eq!(idx.fanout_count(a.bit(0)), 3);
         assert!(idx.feeds_output(a.bit(0)));
         assert_eq!(idx.fanout_count(idx.canon(y1.bit(0))), 0);
+    }
+
+    #[test]
+    fn bit_ids_are_dense_and_agree_with_canon() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 3);
+        let y = m.not(&a);
+        let w = m.auto_wire(3);
+        m.connect(SigSpec::from_wire(w, 3), y.clone());
+        m.add_output("o", &SigSpec::from_wire(w, 3));
+        let idx = NetIndex::build(&m);
+        let mut bits: Vec<SigBit> = vec![SigBit::ZERO, SigBit::ONE, SigBit::X];
+        for (id, wire) in m.wires() {
+            bits.extend((0..wire.width).map(|i| SigBit::Wire(id, i)));
+        }
+        // every bit has its own id, and together they cover 0..bit_count
+        let ids: Vec<usize> = bits.iter().map(|b| idx.bit_id(*b).unwrap()).collect();
+        assert_eq!(ids, (0..idx.bit_count()).collect::<Vec<_>>());
+        // the table behind canon is indexed by the same ids
+        for (i, bit) in bits.iter().enumerate() {
+            assert_eq!(idx.canon(*bit), idx.canon[i]);
+        }
+        // aliases share their canonical bit's id
+        let o = m.find_wire("o").unwrap();
+        let canon_id = |b: SigBit| idx.bit_id(idx.canon(b));
+        assert_eq!(canon_id(SigBit::Wire(o, 2)), idx.bit_id(y.bit(2)));
+        assert_eq!(canon_id(SigBit::Wire(w, 0)), idx.bit_id(y.bit(0)));
+        // a bit outside the module has no id
+        assert_eq!(idx.bit_id(SigBit::Wire(o, 3)), None);
     }
 
     #[test]

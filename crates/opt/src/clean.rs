@@ -1,7 +1,6 @@
 //! Dead-cell sweeping (`opt_clean`).
 
-use smartly_netlist::{CellKind, Module, NetIndex, PortDir, SigBit};
-use std::collections::HashSet;
+use smartly_netlist::{CellId, CellKind, Module, NetIndex, PortDir, SigBit};
 
 /// Options for [`opt_clean`].
 #[derive(Copy, Clone, Debug)]
@@ -28,10 +27,13 @@ impl Default for CleanOptions {
 /// the paper's `RemoveUnusedCell()` step from Algorithm 1.
 pub fn opt_clean(module: &mut Module, options: &CleanOptions) -> usize {
     let index = NetIndex::build(module);
-    let mut live: HashSet<smartly_netlist::CellId> = HashSet::new();
-    let mut stack: Vec<smartly_netlist::CellId> = Vec::new();
+    let ids = module.cell_ids();
+    // liveness by cell id: ids are slot indices, so the last live id
+    // bounds them all
+    let mut live = vec![false; ids.last().map_or(0, |id| id.index() + 1)];
+    let mut stack: Vec<CellId> = Vec::new();
 
-    let mark_driver = |bit: SigBit, stack: &mut Vec<smartly_netlist::CellId>| {
+    let mark_driver = |bit: SigBit, stack: &mut Vec<CellId>| {
         if let Some(drv) = index.driver(index.canon(bit)) {
             stack.push(drv.cell);
         }
@@ -56,14 +58,14 @@ pub fn opt_clean(module: &mut Module, options: &CleanOptions) -> usize {
     }
 
     while let Some(id) = stack.pop() {
-        if !live.insert(id) {
+        if std::mem::replace(&mut live[id.index()], true) {
             continue;
         }
         let cell = module.cell(id).expect("live cell");
         for (_, spec) in cell.inputs() {
             for bit in spec.iter() {
                 if let Some(drv) = index.driver(index.canon(*bit)) {
-                    if !live.contains(&drv.cell) {
+                    if !live[drv.cell.index()] {
                         stack.push(drv.cell);
                     }
                 }
@@ -72,8 +74,8 @@ pub fn opt_clean(module: &mut Module, options: &CleanOptions) -> usize {
     }
 
     let mut removed = 0usize;
-    for id in module.cell_ids() {
-        if !live.contains(&id) {
+    for id in ids {
+        if !live[id.index()] {
             module.remove_cell(id);
             removed += 1;
         }

@@ -1,9 +1,8 @@
 //! Constant folding and pass-through collapsing (`opt_const`).
 
 use smartly_netlist::{
-    eval_cell, CellInputs, CellKind, Module, NetIndex, Port, SigBit, SigSpec, TriVal,
+    eval_cell, Cell, CellInputs, CellKind, Module, NetIndex, Port, SigBit, SigSpec, TriVal,
 };
-use std::collections::HashMap;
 
 /// One constant-folding sweep; returns the number of cells folded or
 /// simplified. Run to a fixpoint via [`crate::clean_pipeline`].
@@ -21,52 +20,62 @@ use std::collections::HashMap;
 /// * `eq` of bitwise-identical specs folds to 1; contradictory constant
 ///   bits fold to 0; 1-bit `eq a, 1` collapses to `a`;
 /// * `pmux` drops constant-0 selects and truncates at a constant-1 select.
+///
+/// Cells are visited in topological order, and a constant a fold
+/// produces is seen by every later cell of the same sweep. A non-constant
+/// alias is not: it shows only in the next sweep's index.
 pub fn opt_const(module: &mut Module) -> usize {
+    sweep(module).unwrap_or(0)
+}
+
+/// [`opt_const`], or `None` when the module has a combinational cycle and
+/// the sweep did not run.
+pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
     let index = NetIndex::build(module);
-    let order = match module.topo_order_with(&index) {
-        Ok(o) => o,
-        Err(_) => return 0,
-    };
-    // constants discovered during this sweep, on canonical bits
-    let mut consts: HashMap<SigBit, TriVal> = HashMap::new();
+    let order = module.topo_order_with(&index).ok()?;
+    // constants discovered during this sweep, by canonical bit id
+    let mut consts: Vec<Option<TriVal>> = vec![None; index.bit_count()];
     let mut changes = 0usize;
 
     for id in order {
-        let cell = match module.cell(id) {
-            Some(c) => c.clone(),
-            None => continue,
+        let Some(cell) = module.cell(id) else {
+            continue;
         };
         if cell.kind == CellKind::Dff {
             continue;
         }
-        let resolve = |spec: &SigSpec| -> SigSpec {
-            spec.iter()
-                .map(|b| {
-                    let c = index.canon(*b);
-                    match c {
-                        SigBit::Const(_) => c,
-                        _ => match consts.get(&c) {
-                            Some(&v) => SigBit::Const(v),
-                            None => c,
-                        },
-                    }
-                })
-                .collect()
+        let resolve = |bit: &SigBit| -> SigBit {
+            let c = index.canon(*bit);
+            if c.is_const() {
+                return c;
+            }
+            index
+                .bit_id(c)
+                .and_then(|i| consts[i])
+                .map_or(c, SigBit::Const)
         };
-        let a = cell.port(Port::A).map(&resolve).unwrap_or_default();
-        let b = cell.port(Port::B).map(&resolve).unwrap_or_default();
-        let s = cell.port(Port::S).map(resolve).unwrap_or_default();
+        if !may_fold(cell, &index, resolve) {
+            continue;
+        }
+        let kind = cell.kind;
+        let port = |p: Port| -> SigSpec {
+            cell.port(p)
+                .map(|s| s.iter().map(resolve).collect())
+                .unwrap_or_default()
+        };
+        let a = port(Port::A);
+        let b = port(Port::B);
+        let s = port(Port::S);
         let out_spec = cell.output().clone();
         let w = out_spec.width();
 
         let replace_with =
-            |module: &mut Module, src: SigSpec, consts: &mut HashMap<SigBit, TriVal>| -> bool {
+            |module: &mut Module, src: SigSpec, consts: &mut [Option<TriVal>]| -> bool {
                 debug_assert_eq!(src.width(), w);
                 module.remove_cell(id);
                 for (dst, sbit) in out_spec.iter().zip(src.iter()) {
-                    let canon_dst = index.canon(*dst);
-                    if let SigBit::Const(v) = sbit {
-                        consts.insert(canon_dst, *v);
+                    if let (SigBit::Const(v), Some(i)) = (sbit, index.bit_id(index.canon(*dst))) {
+                        consts[i] = Some(*v);
                     }
                 }
                 module.connect(out_spec.clone(), src);
@@ -80,13 +89,13 @@ pub fn opt_const(module: &mut Module) -> usize {
                 b: b.as_const_trivals().unwrap_or_default(),
                 s: s.as_const_trivals().unwrap_or_default(),
             };
-            let out = eval_cell(cell.kind, &inputs, w);
+            let out = eval_cell(kind, &inputs, w);
             let src: SigSpec = out.into_iter().map(SigBit::Const).collect();
             changes += usize::from(replace_with(module, src, &mut consts));
             continue;
         }
 
-        match cell.kind {
+        match kind {
             CellKind::Mux => {
                 match s.bit(0) {
                     SigBit::Const(TriVal::Zero) => {
@@ -111,7 +120,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                     }
                     let all_zero = konst.as_const_u64() == Some(0);
                     let all_one = konst.iter().all(|b| *b == SigBit::Const(TriVal::One));
-                    match cell.kind {
+                    match kind {
                         CellKind::And if all_zero => Some(SigSpec::zeros(w as u32)),
                         CellKind::And if all_one => Some(other.clone()),
                         CellKind::Or if all_one => Some(SigSpec::ones(w as u32)),
@@ -125,7 +134,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                 } else if b.is_fully_const() {
                     fold(&b, &a)
                 } else if a == b {
-                    match cell.kind {
+                    match kind {
                         CellKind::And | CellKind::Or => Some(a.clone()),
                         CellKind::Xor => Some(SigSpec::zeros(w as u32)),
                         _ => None,
@@ -139,7 +148,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                 }
             }
             CellKind::Eq | CellKind::Ne => {
-                let neg = cell.kind == CellKind::Ne;
+                let neg = kind == CellKind::Ne;
                 if a == b {
                     let v = SigSpec::const_u64(u64::from(!neg), 1);
                     changes += usize::from(replace_with(module, v, &mut consts));
@@ -179,8 +188,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                             // y = !sig : rewrite the cell into a Not
                             let c = module.cell_mut(id).expect("live cell");
                             // a fresh cell drops the stale B binding
-                            let mut fresh =
-                                smartly_netlist::Cell::new(CellKind::Not, c.name.clone());
+                            let mut fresh = Cell::new(CellKind::Not, c.name.clone());
                             fresh.set_port(Port::A, SigSpec::from_bit(sig));
                             fresh.set_port(Port::Y, out_spec.clone());
                             *c = fresh;
@@ -219,7 +227,7 @@ pub fn opt_const(module: &mut Module) -> usize {
                     } else if new_sels.len() == 1 {
                         // degenerate pmux: a plain mux
                         let c = module.cell_mut(id).expect("live cell");
-                        let mut fresh = smartly_netlist::Cell::new(CellKind::Mux, c.name.clone());
+                        let mut fresh = Cell::new(CellKind::Mux, c.name.clone());
                         fresh.set_port(Port::A, default);
                         fresh.set_port(Port::B, new_words.pop().expect("one word"));
                         fresh.set_port(Port::S, SigSpec::from_bit(new_sels[0]));
@@ -243,7 +251,33 @@ pub fn opt_const(module: &mut Module) -> usize {
             _ => {}
         }
     }
-    changes
+    Some(changes)
+}
+
+/// Whether a rewrite of [`opt_const`] can fire on `cell`, decided without
+/// allocating: every rule needs an input bit that resolves to a constant,
+/// an empty input port (vacuously constant), or, for `mux`, `and`, `or`,
+/// `xor`, `eq` and `ne`, equal `A` and `B` operands.
+fn may_fold(cell: &Cell, index: &NetIndex, resolve: impl Fn(&SigBit) -> SigBit) -> bool {
+    let bits = |p: Port| cell.port(p).map_or(&[][..], SigSpec::bits);
+    if cell.kind.input_ports().iter().any(|p| bits(*p).is_empty()) {
+        return true;
+    }
+    let (a, b) = (bits(Port::A), bits(Port::B));
+    if [a, b, bits(Port::S)]
+        .iter()
+        .any(|spec| spec.iter().any(|bit| resolve(bit).is_const()))
+    {
+        return true;
+    }
+    // no constant anywhere, so each operand resolves to its canonical bits
+    matches!(
+        cell.kind,
+        CellKind::Mux | CellKind::And | CellKind::Or | CellKind::Xor | CellKind::Eq | CellKind::Ne
+    ) && a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| index.canon(*x) == index.canon(*y))
 }
 
 #[cfg(test)]
@@ -354,7 +388,7 @@ mod tests {
         let o = m.or(&z, &a);
         let y = m.xor(&o, &SigSpec::zeros(4));
         m.add_output("y", &y);
-        clean_pipeline(&mut m, 8);
+        clean_pipeline(&mut m);
         assert_eq!(m.live_cell_count(), 0);
         let idx = NetIndex::build(&m);
         let out = m.find_wire("y").unwrap();

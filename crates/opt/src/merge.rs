@@ -1,24 +1,30 @@
 //! Structural sharing of identical cells (`opt_merge`).
 
-use smartly_netlist::{CellKind, Module, NetIndex, SigSpec};
-use std::collections::HashMap;
+use smartly_netlist::{CellId, CellKind, Module, NetIndex};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Merges combinational cells with identical kind and (canonicalized)
 /// input connections; returns the number of cells removed.
 ///
-/// The survivor is the earliest cell in id order; every duplicate's output
-/// is aliased onto the survivor's via a module connection. Flip-flops are
-/// not merged so equivalence checking can match them pairwise.
+/// The survivor is the duplicate that comes first in topological order
+/// ([`Module::topo_order`]), which is not always the lowest id: a
+/// lower-id duplicate loses when the depth-first walk from an earlier
+/// root reaches its twin first. Every duplicate's output is aliased onto
+/// the survivor's via a module connection. Flip-flops are not merged so
+/// equivalence checking can match them pairwise.
+///
+/// A cell's key is its kind plus, per input port, the port's width and
+/// the dense ids ([`NetIndex::bit_id`]) of its canonical bits.
 pub fn opt_merge(module: &mut Module) -> usize {
     let index = NetIndex::build(module);
-    let mut seen: HashMap<(CellKind, Vec<SigSpec>), smartly_netlist::CellId> = HashMap::new();
-    let mut merges: Vec<(smartly_netlist::CellId, smartly_netlist::CellId)> = Vec::new();
+    let mut seen: HashMap<(CellKind, Vec<u32>), CellId> = HashMap::new();
+    let mut merges: Vec<(CellId, CellId)> = Vec::new();
 
     let order = match module.topo_order_with(&index) {
         Ok(o) => o,
         Err(_) => return 0,
     };
-    for id in order {
+    'cells: for id in order {
         let cell = match module.cell(id) {
             Some(c) => c,
             None => continue,
@@ -26,21 +32,22 @@ pub fn opt_merge(module: &mut Module) -> usize {
         if cell.kind == CellKind::Dff {
             continue;
         }
-        let key_inputs: Vec<SigSpec> = cell
-            .kind
-            .input_ports()
-            .iter()
-            .map(|p| {
-                cell.port(*p)
-                    .map(|s| s.iter().map(|b| index.canon(*b)).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let key = (cell.kind, key_inputs);
-        match seen.get(&key) {
-            Some(&rep) => merges.push((id, rep)),
-            None => {
-                seen.insert(key, id);
+        let mut key = Vec::new();
+        for port in cell.kind.input_ports() {
+            let bits = cell.port(*port).map_or(&[][..], |s| s.bits());
+            key.push(bits.len() as u32);
+            for bit in bits {
+                // a bit outside the module has no id: never merge its cell
+                let Some(bit_id) = index.bit_id(index.canon(*bit)) else {
+                    continue 'cells;
+                };
+                key.push(bit_id as u32);
+            }
+        }
+        match seen.entry((cell.kind, key)) {
+            Entry::Occupied(rep) => merges.push((id, *rep.get())),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
             }
         }
     }
@@ -58,7 +65,7 @@ pub fn opt_merge(module: &mut Module) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartly_netlist::Module;
+    use smartly_netlist::{Cell, Module, Port, SigSpec};
 
     #[test]
     fn merges_identical_eq_cells() {
@@ -92,6 +99,36 @@ mod tests {
         // second sweep sees canonicalized inputs and merges the XORs
         assert_eq!(opt_merge(&mut m), 1);
         assert_eq!(m.stats().count("xor"), 1);
+        m.validate().unwrap();
+    }
+
+    #[test]
+    fn survivor_is_first_in_topological_order() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 1);
+        let b = m.add_input("b", 1);
+        // cell 0 reads `w`, which cell 2 drives, so the walk from root 0
+        // reaches cell 2 before root 1 is visited
+        let w = SigSpec::from_wire(m.auto_wire(1), 1);
+        let n = m.not(&w);
+        let y1 = m.and(&a, &b);
+        let mut twin = Cell::new(CellKind::And, "twin");
+        twin.set_port(Port::A, a.clone());
+        twin.set_port(Port::B, b.clone());
+        twin.set_port(Port::Y, w);
+        m.add_cell(twin);
+        m.add_output("n", &n);
+        m.add_output("y1", &y1);
+        let ids = m.cell_ids();
+        assert_eq!(opt_merge(&mut m), 1);
+        assert!(
+            m.cell(ids[1]).is_none(),
+            "the lower-id twin is the duplicate"
+        );
+        assert!(
+            m.cell(ids[2]).is_some(),
+            "the first in topological order survives"
+        );
         m.validate().unwrap();
     }
 

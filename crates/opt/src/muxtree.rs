@@ -214,7 +214,7 @@ fn data_slots(cell: &Cell) -> impl Iterator<Item = &[SigBit]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline_optimize;
+    use crate::{baseline_optimize, Settled};
     use smartly_netlist::{Module, SigSpec};
     use smartly_sim::{compile, BitSim};
 
@@ -245,7 +245,7 @@ mod tests {
         let outer = m.mux(&c, &inner, &s);
         m.add_output("y", &outer);
         assert_eq!(m.stats().count("mux"), 2);
-        let n = baseline_optimize(&mut m);
+        let n = baseline_optimize(&mut m, &mut Settled::Unknown);
         assert!(n > 0);
         assert_eq!(m.stats().count("mux"), 1, "inner mux must collapse");
         m.validate().unwrap();
@@ -308,7 +308,7 @@ mod tests {
         }
         m.add_output("y", &cur);
         assert_eq!(m.stats().count("mux"), 5);
-        baseline_optimize(&mut m);
+        baseline_optimize(&mut m, &mut Settled::Unknown);
         assert_eq!(m.stats().count("mux"), 1);
         m.validate().unwrap();
     }
@@ -352,7 +352,7 @@ mod tests {
         m.add_output("y", &outer);
         let n = opt_muxtree(&mut m);
         assert!(n >= 1);
-        baseline_optimize(&mut m);
+        baseline_optimize(&mut m, &mut Settled::Unknown);
         // inner pmux should now be gone (its select pinned to 1 at bit 0)
         assert_eq!(m.stats().count("pmux"), 0);
         m.validate().unwrap();
