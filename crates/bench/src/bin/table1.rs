@@ -16,13 +16,7 @@ fn demo(premises: &[(&str, bool)], expect: &[(&str, bool)]) -> (String, String, 
     let y = m.or(&a, &b);
     m.add_output("y", &y);
     let index = NetIndex::build(&m);
-    let ranks: HashMap<_, _> = m
-        .topo_order_with(&index)
-        .expect("acyclic")
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (c, i))
-        .collect();
+    let ranks = subgraph::topo_ranks(&m.topo_order_with(&index).expect("acyclic"));
 
     let bit_of = |name: &str| -> SigBit {
         match name {

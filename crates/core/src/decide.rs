@@ -402,13 +402,7 @@ mod tests {
         opts: &DecideOptions,
     ) -> (Decision, Engine) {
         let index = NetIndex::build(m);
-        let ranks: HashMap<_, _> = m
-            .topo_order_with(&index)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (c, i))
-            .collect();
+        let ranks = subgraph::topo_ranks(&m.topo_order_with(&index).unwrap());
         let mut assign = HashMap::new();
         for (b, v) in known {
             assign.insert(index.canon(*b), *v);

@@ -932,13 +932,8 @@ mod tests {
     use crate::subgraph;
     use smartly_netlist::Module;
 
-    fn ranks(m: &Module) -> HashMap<CellId, usize> {
-        m.topo_order()
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (c, i))
-            .collect()
+    fn ranks(m: &Module) -> Vec<u32> {
+        subgraph::topo_ranks(&m.topo_order().unwrap())
     }
 
     fn extract_for(

@@ -17,7 +17,9 @@
 //!    the `eq` cells disconnect and die in `opt_clean` (paper Fig. 7).
 
 use smartly_add::{Add, AddRef, FunctionTable};
-use smartly_netlist::{CellId, CellKind, Module, NetIndex, Port, SigBit, SigSpec, TriVal};
+use smartly_netlist::{
+    CellId, CellKind, Module, NetIndex, Port, ReaderCounts, SigBit, SigSpec, TriVal,
+};
 use smartly_opt::{muxtree_roots, slot_child};
 use std::collections::{HashMap, HashSet};
 
@@ -93,11 +95,17 @@ struct Collected {
 ///
 /// Follow with [`smartly_opt::clean_pipeline`] to sweep the freed `eq`
 /// cells (Algorithm 1's `RemoveUnusedCell`).
+///
+/// One index and one set of reader counts serve the whole call. A
+/// rebuild removes its tree's muxes and adds new ones, which the
+/// snapshot does not show. Later trees keep that conservative view: a
+/// removed mux still counts as a reader, and an added one does not.
 pub fn restructure(module: &mut Module, options: &RestructureOptions) -> RestructureStats {
     let mut stats = RestructureStats::default();
     let index = NetIndex::build(module);
+    let readers = ReaderCounts::build(module, &index);
 
-    let roots = muxtree_roots(module, &index, |kind| kind == CellKind::Mux);
+    let roots = muxtree_roots(module, &index, &readers, |kind| kind == CellKind::Mux);
 
     // pmux cells are single-level candidates of their own
     let pmux_roots: Vec<CellId> = module
@@ -107,6 +115,9 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         .collect();
 
     let mut consumed: HashSet<CellId> = HashSet::new();
+    // pins of the candidate's muxes reading each canonical bit, by bit
+    // id; zeroed again after each candidate
+    let mut tree_reads = vec![0u32; index.bit_count()];
     for (root, is_pmux) in roots
         .into_iter()
         .map(|r| (r, false))
@@ -118,7 +129,7 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         let collected = if is_pmux {
             collect_pmux(module, &index, root, options)
         } else {
-            collect_tree(module, &index, root, options)
+            collect_tree(module, &index, &readers, root, options)
         };
         let Some(collected) = collected else {
             continue;
@@ -143,7 +154,12 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         // ----- Check(...) -----
         let old_muxes = collected.old_mux_units;
         let new_muxes = add.node_count();
-        // eq cells whose entire fanout lies inside this tree are freed
+        // an eq cell is freed when every reader of its output is a pin of
+        // this tree's muxes (an output-port read matches no pin)
+        let pins = tree_pin_ids(module, &index, &collected.mux_cells);
+        for &i in &pins {
+            tree_reads[i] += 1;
+        }
         let removable: Vec<CellId> = collected
             .sel_cells
             .iter()
@@ -151,16 +167,15 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
             .filter(|&sc| {
                 let cell = module.cell(sc).expect("live select cell");
                 cell.output().iter().all(|b| {
-                    index
-                        .fanout(index.canon(*b))
-                        .iter()
-                        .all(|s| match &s.consumer {
-                            smartly_netlist::Consumer::Cell(c) => collected.mux_cells.contains(c),
-                            smartly_netlist::Consumer::Output(_) => false,
-                        })
+                    let bit = index.canon(*b);
+                    let tree = index.bit_id(bit).map_or(0, |i| tree_reads[i]);
+                    readers.get(&index, bit) == tree as usize
                 })
             })
             .collect();
+        for &i in &pins {
+            tree_reads[i] = 0;
+        }
         // AIG-area cost model: mux ≈ 3 ANDs per data bit; an eq against a
         // constant folds its per-bit xnors away and costs only the k-1
         // ANDs of the reduction tree
@@ -195,6 +210,16 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         stats.eqs_freed += removable.len();
     }
     stats
+}
+
+/// The canonical bit id each input pin of the tree's muxes reads.
+fn tree_pin_ids(module: &Module, index: &NetIndex, mux_cells: &[CellId]) -> Vec<usize> {
+    mux_cells
+        .iter()
+        .flat_map(|&id| module.cell(id).expect("live mux").inputs())
+        .flat_map(|(_, spec)| spec.iter())
+        .filter_map(|b| index.bit_id(index.canon(*b)))
+        .collect()
 }
 
 fn all_indices(width: u32) -> Vec<usize> {
@@ -371,6 +396,7 @@ fn select_cube(
 fn collect_tree(
     module: &Module,
     index: &NetIndex,
+    readers: &ReaderCounts,
     root: CellId,
     options: &RestructureOptions,
 ) -> Option<Collected> {
@@ -381,7 +407,7 @@ fn collect_tree(
 
     // a child is followed only when it is a mux its slot owns
     let mux_child = |spec: &SigSpec| -> Option<CellId> {
-        slot_child(module, index, spec.bits())
+        slot_child(module, index, readers, spec.bits())
             .filter(|&c| module.cell(c).is_some_and(|c| c.kind == CellKind::Mux))
     };
 

@@ -16,11 +16,10 @@ use crate::query_engine::{
     FunnelProfile, Layer, QueryEngine, QueryEngineOptions, SharedCexBank, SharedVerdictStore,
     VerdictMemo,
 };
-use crate::subgraph::{extract_cached, ConeCache, SubgraphStats};
-use smartly_netlist::{CellId, Module, NetIndex};
+use crate::subgraph::{extract_cached, topo_ranks, ConeCache, SubgraphStats};
+use smartly_netlist::{Module, NetIndex, ReaderCounts};
 use smartly_opt::{apply_pins, walk_muxtrees};
 use smartly_sat::Deadline;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Sub-graph distance bound `k` (paper §II).
@@ -284,7 +283,7 @@ pub fn sat_redundancy_with(
         Ok(t) => t,
         Err(_) => return SatPassStats::default(),
     };
-    let ranks: HashMap<CellId, usize> = topo.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
+    let ranks = topo_ranks(&topo);
 
     let mut stats = SatPassStats::default();
     let mut cone_cache = ConeCache::new();
@@ -313,9 +312,10 @@ pub fn sat_redundancy_with(
         eng
     });
 
+    let readers = ReaderCounts::build(module, &index);
     // decide a select bit the path condition leaves open: extraction,
     // Table I inference, then the funnel (or a fresh decide per query)
-    let pins = walk_muxtrees(module, &index, |sel, known| {
+    let pins = walk_muxtrees(module, &index, &readers, |sel, known| {
         if stats.queries >= MAX_QUERIES {
             return None;
         }

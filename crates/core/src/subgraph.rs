@@ -54,6 +54,9 @@ pub(crate) struct Cone {
 pub struct ConeCache {
     map: HashMap<(SigBit, usize), std::rc::Rc<Cone>>,
     balls: HashMap<(SigBit, usize), std::rc::Rc<HashSet<CellId>>>,
+    /// The cells reading each canonical bit, by bit id: the forward edges
+    /// of the undirected gather, built for the sweep's first ball.
+    cell_readers: Vec<Vec<CellId>>,
 }
 
 impl ConeCache {
@@ -89,7 +92,19 @@ impl ConeCache {
         if let Some(b) = self.balls.get(&key) {
             return b.clone();
         }
-        let b = std::rc::Rc::new(undirected_ball(module, index, key.0, k));
+        if self.cell_readers.is_empty() {
+            self.cell_readers = vec![Vec::new(); index.bit_count()];
+            for (id, cell) in module.cells() {
+                for (_, spec) in cell.inputs() {
+                    for bit in spec.iter() {
+                        if let Some(i) = index.bit_id(index.canon(*bit)) {
+                            self.cell_readers[i].push(id);
+                        }
+                    }
+                }
+            }
+        }
+        let b = std::rc::Rc::new(undirected_ball(module, index, &self.cell_readers, key.0, k));
         self.balls.insert(key, b.clone());
         b
     }
@@ -98,8 +113,15 @@ impl ConeCache {
 /// All cells within `k` *undirected* hops of `start` — the paper's raw
 /// gather ("all logical gates within a specified distance k from the
 /// control port"), before Theorem II.1 pruning. Sequential cells stop the
-/// walk so the gathered region stays a DAG.
-fn undirected_ball(module: &Module, index: &NetIndex, start: SigBit, k: usize) -> HashSet<CellId> {
+/// walk so the gathered region stays a DAG. `cell_readers` lists the
+/// cells reading each canonical bit, by bit id.
+fn undirected_ball(
+    module: &Module,
+    index: &NetIndex,
+    cell_readers: &[Vec<CellId>],
+    start: SigBit,
+    k: usize,
+) -> HashSet<CellId> {
     let mut cells: HashSet<CellId> = HashSet::new();
     let mut queue: VecDeque<(CellId, usize)> = VecDeque::new();
     let enqueue_bit = |bit: SigBit, depth: usize, queue: &mut VecDeque<(CellId, usize)>| {
@@ -107,10 +129,8 @@ fn undirected_ball(module: &Module, index: &NetIndex, start: SigBit, k: usize) -
         if let Some(d) = index.driver(c) {
             queue.push_back((d.cell, depth));
         }
-        for sink in index.fanout(c) {
-            if let smartly_netlist::Consumer::Cell(id) = sink.consumer {
-                queue.push_back((id, depth));
-            }
+        if let Some(i) = index.bit_id(c) {
+            queue.extend(cell_readers[i].iter().map(|&id| (id, depth)));
         }
     };
     enqueue_bit(start, 0, &mut queue);
@@ -174,8 +194,20 @@ fn cone(module: &Module, index: &NetIndex, start: SigBit, k: usize) -> Cone {
     Cone { cells, leaves }
 }
 
+/// The rank table [`extract`] sorts cells by: entry `c` is the position
+/// of cell id `c` in `order`, and `u32::MAX` for a cell not in it.
+pub fn topo_ranks(order: &[CellId]) -> Vec<u32> {
+    let mut ranks = vec![u32::MAX; order.iter().map(|c| c.index() + 1).max().unwrap_or(0)];
+    for (rank, c) in order.iter().enumerate() {
+        // cell ids are u32, so a position among them is too
+        ranks[c.index()] = rank as u32;
+    }
+    ranks
+}
+
 /// Extracts the decision sub-graph for `target` under the path condition
-/// `known`, with distance bound `k`.
+/// `known`, with distance bound `k`. `topo_rank` is [`topo_ranks`] of a
+/// topological order of `module`.
 ///
 /// With `prune` set, only known bits whose cones share support with the
 /// target's cone (transitively — the Theorem II.1 groups) contribute;
@@ -183,7 +215,7 @@ fn cone(module: &Module, index: &NetIndex, start: SigBit, k: usize) -> Cone {
 pub fn extract(
     module: &Module,
     index: &NetIndex,
-    topo_rank: &HashMap<CellId, usize>,
+    topo_rank: &[u32],
     target: SigBit,
     known: &HashMap<SigBit, bool>,
     k: usize,
@@ -205,7 +237,7 @@ pub fn extract(
 pub fn extract_cached(
     module: &Module,
     index: &NetIndex,
-    topo_rank: &HashMap<CellId, usize>,
+    topo_rank: &[u32],
     target: SigBit,
     known: &HashMap<SigBit, bool>,
     k: usize,
@@ -296,7 +328,7 @@ pub fn extract_cached(
         .collect();
 
     let mut cells: Vec<CellId> = in_graph_cells.into_iter().collect();
-    cells.sort_by_key(|c| topo_rank.get(c).copied().unwrap_or(usize::MAX));
+    cells.sort_by_key(|c| topo_rank.get(c.index()).copied().unwrap_or(u32::MAX));
 
     let stats = SubgraphStats {
         gates_before_prune,
@@ -452,13 +484,8 @@ mod tests {
     use super::*;
     use smartly_netlist::Module;
 
-    fn ranks(m: &Module) -> HashMap<CellId, usize> {
-        m.topo_order()
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (c, i))
-            .collect()
+    fn ranks(m: &Module) -> Vec<u32> {
+        topo_ranks(&m.topo_order().unwrap())
     }
 
     #[test]
@@ -484,6 +511,40 @@ mod tests {
         // leaf is n1's output (cut) — not the primary input
         assert_eq!(sub.leaves.len(), 1);
         assert_eq!(sub.leaves[0], index.canon(n1.bit(0)));
+    }
+
+    #[test]
+    fn measured_gather_walks_readers_as_well_as_drivers() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 1);
+        let b = m.add_input("b", 1);
+        let n1 = m.not(&a);
+        let n2 = m.not(&n1);
+        let _beside = m.and(&a, &b);
+        m.add_output("y", &n2);
+        let index = NetIndex::build(&m);
+        let r = ranks(&m);
+        let target = index.canon(n1.bit(0));
+        let gathered = |measure_gather| {
+            let mut cache = ConeCache::new();
+            let known = HashMap::new();
+            let (_, stats) = extract_cached(
+                &m,
+                &index,
+                &r,
+                target,
+                &known,
+                1,
+                true,
+                measure_gather,
+                &mut cache,
+            );
+            stats.gates_before_prune
+        };
+        // one hop from n1's output: n2 reads it, and the and gate reads
+        // n1's input
+        assert_eq!(gathered(true), 3);
+        assert_eq!(gathered(false), 1, "the cone alone");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The pipeline skips every cleanup and baseline call that provably
-//! returns 0. This test pins that the skips change nothing: a reference
-//! that runs the unskipped sequence from the public passes (each cleanup
-//! loops until a sweep changes nothing, and every cleanup and baseline
-//! tail runs unconditionally) must emit the same Verilog and report the
-//! same counters as [`Pipeline::run`] at every level.
+//! returns 0, and shares one `NetIndex` per cleanup sweep and per
+//! baseline round. This test pins that neither changes anything: a
+//! reference that runs the unskipped sequence from the public passes
+//! (each cleanup loops until a sweep changes nothing, every cleanup and
+//! baseline tail runs unconditionally, and every pass builds its own
+//! fresh index) must emit the same Verilog and report the same counters
+//! as [`Pipeline::run`] at every level.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,5 +142,16 @@ fn knowledge_probes_match_the_unskipped_sequence() {
         for m in knowledge_probes(variants, cones, width) {
             assert_matches_reference(&format!("{} ({cones} cones, width {width})", m.name), &m);
         }
+    }
+}
+
+/// The Medium corpus, where cleanup chains are longest. Ignored in the
+/// debug `cargo test`, where it would take minutes; CI runs it in
+/// release with `--include-ignored`.
+#[test]
+#[ignore = "release only: cargo test --release -p smartly-core --test cleanup_reference -- --include-ignored"]
+fn medium_corpus_matches_the_unskipped_sequence() {
+    for case in public_corpus(Scale::Medium) {
+        assert_matches_reference(&case.name, &case.compile().expect("compiles"));
     }
 }

@@ -1,8 +1,9 @@
-//! Net connectivity index: alias resolution, drivers and fanouts.
+//! Net connectivity index: alias resolution and drivers, plus the
+//! opt-in reader counts of the mux-tree walks.
 
 use crate::bits::{SigBit, TriVal};
 use crate::cell::Port;
-use crate::module::{CellId, Module, PortDir};
+use crate::module::{CellId, Module};
 
 /// The driver of a wire bit: one bit of one cell's output port.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -12,26 +13,6 @@ pub struct Driver {
     /// Output port (`Y` or `Q`).
     pub port: Port,
     /// Bit offset within the output spec.
-    pub offset: u32,
-}
-
-/// What consumes a bit.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Consumer {
-    /// A cell input port.
-    Cell(CellId),
-    /// A module output port, by its position in [`Module::ports`].
-    Output(u32),
-}
-
-/// One use of a bit: consumer, port and offset within the port spec.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Sink {
-    /// Who reads the bit.
-    pub consumer: Consumer,
-    /// At which port (meaningless for `Consumer::Output`).
-    pub port: Port,
-    /// Bit offset within that port's spec.
     pub offset: u32,
 }
 
@@ -45,26 +26,37 @@ const OPEN: u8 = 0;
 const ON_PATH: u8 = 1;
 const DONE: u8 = 2;
 
-/// A snapshot of a module's connectivity.
+/// A snapshot of a module's connectivity: canonical bits and drivers.
 ///
-/// Built once per pass via [`NetIndex::build`]; invalidated by any
-/// structural mutation. Module-level connections are resolved transitively,
-/// so [`NetIndex::canon`] maps every bit to the bit that *actually* carries
-/// its value (a cell output, an input-port bit, or a constant).
+/// Module-level connections are resolved transitively, so
+/// [`NetIndex::canon`] maps every bit to the bit that *actually* carries
+/// its value (a cell output, an input-port bit, or a constant), and
+/// [`NetIndex::driver`] gives the cell output behind a canonical bit.
+/// That is all a build makes: fanout is not indexed. The mux-tree walks,
+/// the only passes that ask how many sinks read a bit, count them in a
+/// [`ReaderCounts`] of their own.
+///
+/// # Validity
+///
+/// The tables describe the module's connections and cell outputs. They
+/// stay exact when a pass only rewrites cell *input* bits, as
+/// `apply_pins` does when it pins bits to constants, so a pass may keep
+/// using its index after such a rewrite. [`Module::connect`],
+/// [`Module::remove_cell`] and [`Module::add_cell`] invalidate them: a
+/// pass that makes those edits either builds a fresh index afterwards
+/// or accounts for them itself, as the cleanup fixpoint's forwarding of
+/// folded cells does. No index is kept up to date through a pass's
+/// mutations.
 ///
 /// # Layout
 ///
 /// Every bit has a dense `u32` id: the three constants take ids `0..3`,
 /// and bit `o` of wire `w` has id `base[w] + o`, where `base` holds the
 /// prefix sums of the wire widths. Canonical bits and drivers are plain
-/// per-id arrays, and fanouts are compressed rows (one `start` offset per
-/// id into a single sink array), so the constants' rows are the three
-/// per-constant sink lists. A build is a few linear sweeps with no
-/// hashing, so its cost is linear in wire bits plus cell and port pins.
-/// That keeps the design at one fresh build per pass: no index is kept
-/// up to date through a pass's mutations. Bits outside the module's
-/// wires (an out-of-range wire or offset) are their own canonical bit
-/// and have no driver, no fanout and no id.
+/// per-id arrays, so a build is two linear sweeps with no hashing: one
+/// over the connections and one over the cell outputs. Bits outside the
+/// module's wires (an out-of-range wire or offset) are their own
+/// canonical bit and have no driver and no id.
 ///
 /// [`NetIndex::bit_id`] exposes the ids and [`NetIndex::bit_count`]
 /// their number, so a pass keeps per-bit state (constants, AIG literals,
@@ -92,9 +84,6 @@ pub struct NetIndex {
     base: Vec<u32>,
     canon: Vec<SigBit>,
     driver: Vec<Option<Driver>>,
-    /// Sinks of id `i` are `sinks[fan_start[i]..fan_start[i + 1]]`.
-    fan_start: Vec<u32>,
-    sinks: Vec<Sink>,
 }
 
 impl NetIndex {
@@ -117,12 +106,9 @@ impl NetIndex {
             base,
             canon,
             driver: Vec::new(),
-            fan_start: Vec::new(),
-            sinks: Vec::new(),
         };
         index.resolve_aliases(module);
         index.index_drivers(module);
-        index.index_fanouts(module);
         index
     }
 
@@ -214,38 +200,6 @@ impl NetIndex {
         self.driver = driver;
     }
 
-    /// Counts each canonical bit's sinks, then fills the rows in one more
-    /// walk, so every row lists its sinks in walk order.
-    fn index_fanouts(&mut self, module: &Module) {
-        let n = self.canon.len();
-        let mut fan_start = vec![0u32; n + 1];
-        for_each_sink(module, |bit, _| {
-            if let Some(c) = self.canon_id(bit) {
-                fan_start[c + 1] += 1;
-            }
-        });
-        for i in 0..n {
-            fan_start[i + 1] = fan_start[i + 1]
-                .checked_add(fan_start[i])
-                .expect("under 2^32 pins");
-        }
-        let mut next = fan_start.clone();
-        let filler = Sink {
-            consumer: Consumer::Output(0),
-            port: Port::Y,
-            offset: 0,
-        };
-        let mut sinks = vec![filler; fan_start[n] as usize];
-        for_each_sink(module, |bit, sink| {
-            if let Some(c) = self.canon_id(bit) {
-                sinks[next[c] as usize] = sink;
-                next[c] += 1;
-            }
-        });
-        self.fan_start = fan_start;
-        self.sinks = sinks;
-    }
-
     /// Resolves a bit through module connections to its canonical source.
     pub fn canon(&self, bit: SigBit) -> SigBit {
         self.bit_id(bit).map_or(bit, |i| self.canon[i])
@@ -258,73 +212,53 @@ impl NetIndex {
     pub fn driver(&self, canonical_bit: SigBit) -> Option<Driver> {
         self.bit_id(canonical_bit).and_then(|i| self.driver[i])
     }
-
-    /// All sinks reading a canonical bit: cell input pins in cell id order
-    /// (each cell's ports in [`crate::CellKind::input_ports`] order), then
-    /// module output port bits in port order.
-    pub fn fanout(&self, canonical_bit: SigBit) -> &[Sink] {
-        match self.bit_id(canonical_bit) {
-            Some(i) => &self.sinks[self.fan_start[i] as usize..self.fan_start[i + 1] as usize],
-            None => &[],
-        }
-    }
-
-    /// Number of sinks reading a canonical bit.
-    pub fn fanout_count(&self, canonical_bit: SigBit) -> usize {
-        self.fanout(canonical_bit).len()
-    }
-
-    /// Whether any sink of the bit is a module output port.
-    pub fn feeds_output(&self, canonical_bit: SigBit) -> bool {
-        self.fanout(canonical_bit)
-            .iter()
-            .any(|s| matches!(s.consumer, Consumer::Output(_)))
-    }
-
-    /// Sinks of a bit that are cells *other than* `exclude`.
-    pub fn external_cell_fanout(&self, canonical_bit: SigBit, exclude: &[CellId]) -> usize {
-        self.fanout(canonical_bit)
-            .iter()
-            .filter(|s| match &s.consumer {
-                Consumer::Cell(c) => !exclude.contains(c),
-                Consumer::Output(_) => true,
-            })
-            .count()
-    }
 }
 
-/// Calls `f(bit, sink)` for every read of a bit: cell input pins by cell
-/// id, each cell's ports in kind order, then each output port's bits.
-fn for_each_sink(module: &Module, mut f: impl FnMut(SigBit, Sink)) {
-    for (id, cell) in module.cells() {
-        for (port, spec) in cell.inputs() {
-            for (i, bit) in spec.iter().enumerate() {
-                let consumer = Consumer::Cell(id);
-                f(
-                    *bit,
-                    Sink {
-                        consumer,
-                        port,
-                        offset: i as u32,
-                    },
-                );
+/// How many sinks read each canonical bit of a module: every cell input
+/// pin counts once, and so does every bit of a module output port.
+///
+/// This is the one fanout fact the mux-tree walks need (a mux belongs to
+/// its parent's tree only when the parent's slot is its sole reader), so
+/// they count it next to their [`NetIndex`], in one pass over the pins.
+/// Like the index it is a snapshot: [`Module::connect`],
+/// [`Module::remove_cell`], [`Module::add_cell`] and any rewrite of a
+/// cell's input bits leave it stale.
+#[derive(Clone, Debug)]
+pub struct ReaderCounts {
+    /// Readers of each canonical bit, by [`NetIndex::bit_id`].
+    count: Vec<u32>,
+}
+
+impl ReaderCounts {
+    /// Counts the readers of every canonical bit of `module`, resolved
+    /// through `index`, which must be built from `module` as it is now.
+    pub fn build(module: &Module, index: &NetIndex) -> Self {
+        let mut count = vec![0u32; index.bit_count()];
+        let mut read = |bit: SigBit| {
+            if let Some(c) = index.canon_id(bit) {
+                count[c] += 1;
+            }
+        };
+        for (_, cell) in module.cells() {
+            for (_, spec) in cell.inputs() {
+                spec.iter().for_each(|bit| read(*bit));
             }
         }
+        for p in module.output_ports() {
+            (0..module.wire(p.wire).width).for_each(|i| read(SigBit::Wire(p.wire, i)));
+        }
+        ReaderCounts { count }
     }
-    for (k, p) in module.ports().iter().enumerate() {
-        if p.dir == PortDir::Output {
-            let consumer = Consumer::Output(k as u32);
-            for i in 0..module.wire(p.wire).width {
-                f(
-                    SigBit::Wire(p.wire, i),
-                    Sink {
-                        consumer,
-                        port: Port::Y,
-                        offset: i,
-                    },
-                );
-            }
-        }
+
+    /// Number of sinks reading a canonical bit, through the `index` the
+    /// counts were built over; 0 for a bit outside the module.
+    ///
+    /// Pass the result of [`NetIndex::canon`]; a non-canonical bit has no
+    /// readers of its own.
+    pub fn get(&self, index: &NetIndex, canonical_bit: SigBit) -> usize {
+        index
+            .bit_id(canonical_bit)
+            .map_or(0, |i| self.count[i] as usize)
     }
 }
 
@@ -353,12 +287,13 @@ mod tests {
         let mut m = Module::new("t");
         let a = m.add_input("a", 1);
         let y1 = m.not(&a);
-        let _y2 = m.not(&a);
+        let _y2 = m.and(&a, &a);
         m.add_output("o", &a);
         let idx = NetIndex::build(&m);
-        assert_eq!(idx.fanout_count(a.bit(0)), 3);
-        assert!(idx.feeds_output(a.bit(0)));
-        assert_eq!(idx.fanout_count(idx.canon(y1.bit(0))), 0);
+        let readers = ReaderCounts::build(&m, &idx);
+        // one not pin, two and pins and one output-port bit
+        assert_eq!(readers.get(&idx, a.bit(0)), 4);
+        assert_eq!(readers.get(&idx, idx.canon(y1.bit(0))), 0);
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub use cell::{Cell, CellKind, Port};
 pub use design::Design;
 pub use error::NetlistError;
 pub use eval::{eval_cell, CellInputs};
-pub use index::{Consumer, Driver, NetIndex, Sink};
+pub use index::{Driver, NetIndex, ReaderCounts};
 pub use module::{CellId, Module, ModulePort, PortDir, Wire, WireId};
 pub use stats::CellStats;

@@ -644,8 +644,11 @@ impl Module {
         self.topo_order_with(&NetIndex::build(self))
     }
 
-    /// [`Module::topo_order`] over `index`, which must be built from this
-    /// module as it is now.
+    /// [`Module::topo_order`] over `index`, which must still be valid for
+    /// this module (see [`NetIndex`]). An index built before cell input
+    /// bits were pinned to constants still is: the walk reads pins from
+    /// the module and only canonical bits and drivers from the index, so
+    /// it gives the order a fresh build would.
     ///
     /// # Errors
     ///
@@ -660,12 +663,14 @@ impl Module {
         let mut order = Vec::new();
         let mut state = vec![0u8; self.cells.len()];
 
-        // iterative DFS to avoid stack overflow on deep chains
-        for root in self.cell_ids() {
+        // iterative DFS to avoid stack overflow on deep chains; each
+        // root's walk empties the stack, so one serves every root
+        let mut stack: Vec<(CellId, usize)> = Vec::new();
+        for (root, _) in self.cells() {
             if state[root.index()] == DONE {
                 continue;
             }
-            let mut stack: Vec<(CellId, usize)> = vec![(root, 0)];
+            stack.push((root, 0));
             while let Some((id, phase)) = stack.pop() {
                 match state[id.index()] {
                     DONE => continue,

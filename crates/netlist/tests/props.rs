@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartly_netlist::{
-    eval_cell, CellId, CellInputs, CellKind, Consumer, Driver, Module, NetIndex, Port, PortDir,
-    SigBit, SigSpec, Sink, TriVal,
+    eval_cell, CellId, CellInputs, CellKind, Driver, Module, NetIndex, PortDir, ReaderCounts,
+    SigBit, SigSpec, TriVal,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -338,12 +338,12 @@ fn random_module(rng: &mut StdRng) -> Module {
 }
 
 /// The hash-map index: raw alias edges resolved transitively, drivers and
-/// fanouts keyed by canonical bit, sinks pushed in cell id order, then
-/// output port order.
+/// reader counts keyed by canonical bit, each cell input pin and each
+/// output port bit counting one read.
 struct Oracle {
     alias: HashMap<SigBit, SigBit>,
     drivers: HashMap<SigBit, Driver>,
-    fanouts: HashMap<SigBit, Vec<Sink>>,
+    readers: HashMap<SigBit, usize>,
 }
 
 impl Oracle {
@@ -367,7 +367,7 @@ impl Oracle {
         }
         let canon = |b: SigBit| alias.get(&b).copied().unwrap_or(b);
         let mut drivers = HashMap::new();
-        let mut fanouts: HashMap<SigBit, Vec<Sink>> = HashMap::new();
+        let mut readers: HashMap<SigBit, usize> = HashMap::new();
         for (id, cell) in m.cells() {
             let port = cell.kind.output_port();
             for (i, bit) in cell.output().iter().enumerate() {
@@ -382,39 +382,24 @@ impl Oracle {
                 );
             }
         }
-        for (id, cell) in m.cells() {
-            for (port, spec) in cell.inputs() {
-                for (i, bit) in spec.iter().enumerate() {
-                    let consumer = Consumer::Cell(id);
-                    let sink = Sink {
-                        consumer,
-                        port,
-                        offset: i as u32,
-                    };
-                    fanouts.entry(canon(*bit)).or_default().push(sink);
+        for (_, cell) in m.cells() {
+            for (_, spec) in cell.inputs() {
+                for bit in spec.iter() {
+                    *readers.entry(canon(*bit)).or_default() += 1;
                 }
             }
         }
-        for (k, p) in m.ports().iter().enumerate() {
+        for p in m.ports() {
             if p.dir == PortDir::Output {
                 for i in 0..m.wire(p.wire).width {
-                    let consumer = Consumer::Output(k as u32);
-                    let sink = Sink {
-                        consumer,
-                        port: Port::Y,
-                        offset: i,
-                    };
-                    fanouts
-                        .entry(canon(SigBit::Wire(p.wire, i)))
-                        .or_default()
-                        .push(sink);
+                    *readers.entry(canon(SigBit::Wire(p.wire, i))).or_default() += 1;
                 }
             }
         }
         Oracle {
             alias,
             drivers,
-            fanouts,
+            readers,
         }
     }
 }
@@ -438,7 +423,7 @@ fn dense_index_matches_hash_map_oracle() {
         let m = random_module(&mut rng);
         let oracle = Oracle::build(&m);
         let index = NetIndex::build(&m);
-        let cells = m.cell_ids();
+        let readers = ReaderCounts::build(&m, &index);
         for bit in all_bits(&m) {
             let canon = oracle.alias.get(&bit).copied().unwrap_or(bit);
             assert_eq!(index.canon(bit), canon, "case {case}: canon of {bit:?}");
@@ -447,30 +432,61 @@ fn dense_index_matches_hash_map_oracle() {
                 oracle.drivers.get(&bit).copied(),
                 "case {case}: driver of {bit:?}"
             );
-            let sinks = oracle.fanouts.get(&bit).map_or(&[][..], |v| v.as_slice());
-            assert_eq!(index.fanout(bit), sinks, "case {case}: fanout of {bit:?}");
             assert_eq!(
-                index.feeds_output(bit),
-                sinks
-                    .iter()
-                    .any(|s| matches!(s.consumer, Consumer::Output(_))),
-                "case {case}: feeds_output of {bit:?}"
-            );
-            let exclude: Vec<CellId> = cells
-                .iter()
-                .copied()
-                .filter(|_| rng.gen_bool(0.3))
-                .collect();
-            let external = sinks
-                .iter()
-                .filter(|s| !matches!(s.consumer, Consumer::Cell(c) if exclude.contains(&c)))
-                .count();
-            assert_eq!(
-                index.external_cell_fanout(bit, &exclude),
-                external,
-                "case {case}: external_cell_fanout of {bit:?}"
+                readers.get(&index, bit),
+                oracle.readers.get(&bit).copied().unwrap_or(0),
+                "case {case}: readers of {bit:?}"
             );
         }
+    }
+}
+
+/// Pinning cell input bits to constants, as the mux-tree passes do,
+/// leaves an index built before the pins as exact as a fresh one: the
+/// same canonical bits, drivers and topological order.
+#[test]
+fn an_index_stays_exact_across_pinned_inputs() {
+    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_740b);
+    for case in 0..CASES * 2 {
+        let mut m = random_module(&mut rng);
+        let before = NetIndex::build(&m);
+        for id in m.cell_ids() {
+            let cell = m.cell_mut(id).expect("live");
+            for &port in cell.kind.input_ports() {
+                let Some(spec) = cell.port_mut(port) else {
+                    continue;
+                };
+                for bit in spec.bits_mut() {
+                    if rng.gen_bool(0.3) {
+                        *bit = SigBit::Const(TriVal::from_bool(rng.gen_bool(0.5)));
+                    }
+                }
+            }
+        }
+        let fresh = NetIndex::build(&m);
+        assert_eq!(before.bit_count(), fresh.bit_count(), "case {case}");
+        for bit in all_bits(&m) {
+            assert_eq!(
+                before.bit_id(bit),
+                fresh.bit_id(bit),
+                "case {case}: id of {bit:?}"
+            );
+            assert_eq!(
+                before.canon(bit),
+                fresh.canon(bit),
+                "case {case}: canon of {bit:?}"
+            );
+            assert_eq!(
+                before.driver(bit),
+                fresh.driver(bit),
+                "case {case}: driver of {bit:?}"
+            );
+        }
+        assert_eq!(
+            m.topo_order_with(&before),
+            m.topo_order_with(&fresh),
+            "case {case}: topological order"
+        );
     }
 }
 

@@ -25,26 +25,58 @@ impl Default for CleanOptions {
 /// flip-flop when [`CleanOptions::keep_dffs`] is set); anything a live
 /// cell reads is live. Whole dead cones disappear in one call — this is
 /// the paper's `RemoveUnusedCell()` step from Algorithm 1.
+///
+/// This builds a fresh [`NetIndex`]. Within [`crate::clean_pipeline`],
+/// each sweep's clean half instead reuses the index its const half
+/// built, and follows the const half's forwarding past the cells it
+/// folded; it removes exactly the cells this call would.
 pub fn opt_clean(module: &mut Module, options: &CleanOptions) -> usize {
-    let index = NetIndex::build(module);
+    sweep(module, &NetIndex::build(module), &[], options)
+}
+
+/// [`opt_clean`] over `index`, built before the const sweep that filled
+/// `forward` ([`crate::const_fold::sweep`]; empty when none ran since the
+/// build). The sweep replaced some cells by connections, which `index`
+/// does not show, so a bit's driver is looked up after following its
+/// forwarding chain; every chain ends at a constant, an input or a live
+/// cell's output.
+pub(crate) fn sweep(
+    module: &mut Module,
+    index: &NetIndex,
+    forward: &[Option<SigBit>],
+    options: &CleanOptions,
+) -> usize {
+    let driver = |bit: SigBit| -> Option<CellId> {
+        let mut c = index.canon(bit);
+        let mut steps = 0;
+        while let Some(src) = index
+            .bit_id(c)
+            .and_then(|i| forward.get(i).copied().flatten())
+        {
+            // each step follows a connection the sweep added, so a cycle
+            // is a cyclic connection chain: `NetIndex::build` panics too
+            steps += 1;
+            assert!(
+                steps <= forward.len(),
+                "cyclic connection chain in module {}",
+                module.name
+            );
+            c = src;
+        }
+        index.driver(c).map(|d| d.cell)
+    };
     let ids = module.cell_ids();
     // liveness by cell id: ids are slot indices, so the last live id
     // bounds them all
     let mut live = vec![false; ids.last().map_or(0, |id| id.index() + 1)];
     let mut stack: Vec<CellId> = Vec::new();
 
-    let mark_driver = |bit: SigBit, stack: &mut Vec<CellId>| {
-        if let Some(drv) = index.driver(index.canon(bit)) {
-            stack.push(drv.cell);
-        }
-    };
-
     // roots: output ports
     for p in module.ports() {
         if p.dir == PortDir::Output {
             let w = module.wire(p.wire).width;
             for i in 0..w {
-                mark_driver(SigBit::Wire(p.wire, i), &mut stack);
+                stack.extend(driver(SigBit::Wire(p.wire, i)));
             }
         }
     }
@@ -64,9 +96,9 @@ pub fn opt_clean(module: &mut Module, options: &CleanOptions) -> usize {
         let cell = module.cell(id).expect("live cell");
         for (_, spec) in cell.inputs() {
             for bit in spec.iter() {
-                if let Some(drv) = index.driver(index.canon(*bit)) {
-                    if !live[drv.cell.index()] {
-                        stack.push(drv.cell);
+                if let Some(cell) = driver(*bit) {
+                    if !live[cell.index()] {
+                        stack.push(cell);
                     }
                 }
             }

@@ -25,16 +25,26 @@ use smartly_netlist::{
 /// produces is seen by every later cell of the same sweep. A non-constant
 /// alias is not: it shows only in the next sweep's index.
 pub fn opt_const(module: &mut Module) -> usize {
-    sweep(module).unwrap_or(0)
+    sweep(module, &NetIndex::build(module), &mut Vec::new()).unwrap_or(0)
 }
 
-/// [`opt_const`], or `None` when the module has a combinational cycle and
-/// the sweep did not run.
-pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
-    let index = NetIndex::build(module);
-    let order = module.topo_order_with(&index).ok()?;
-    // constants discovered during this sweep, by canonical bit id
-    let mut consts: Vec<Option<TriVal>> = vec![None; index.bit_count()];
+/// [`opt_const`] over `index`, built from `module` as it is on entry, or
+/// `None` when the module has a combinational cycle and the sweep did not
+/// run.
+///
+/// `forward` is reset to one entry per bit id. Each output bit of a cell
+/// the sweep replaces by a connection gets the bit that now carries its
+/// value, canonical under `index` or a constant. Later cells of the sweep
+/// see only the constant entries; [`crate::clean`] follows them all, so
+/// it can run over the same index.
+pub(crate) fn sweep(
+    module: &mut Module,
+    index: &NetIndex,
+    forward: &mut Vec<Option<SigBit>>,
+) -> Option<usize> {
+    forward.clear();
+    forward.resize(index.bit_count(), None);
+    let order = module.topo_order_with(index).ok()?;
     let mut changes = 0usize;
 
     for id in order {
@@ -49,12 +59,14 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
             if c.is_const() {
                 return c;
             }
-            index
-                .bit_id(c)
-                .and_then(|i| consts[i])
-                .map_or(c, SigBit::Const)
+            // a fold is visible within the sweep only when it left a
+            // constant
+            match index.bit_id(c).and_then(|i| forward[i]) {
+                Some(src) if src.is_const() => src,
+                _ => c,
+            }
         };
-        if !may_fold(cell, &index, resolve) {
+        if !may_fold(cell, index, resolve) {
             continue;
         }
         let kind = cell.kind;
@@ -70,12 +82,14 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
         let w = out_spec.width();
 
         let replace_with =
-            |module: &mut Module, src: SigSpec, consts: &mut [Option<TriVal>]| -> bool {
+            |module: &mut Module, src: SigSpec, forward: &mut [Option<SigBit>]| -> bool {
                 debug_assert_eq!(src.width(), w);
                 module.remove_cell(id);
                 for (dst, sbit) in out_spec.iter().zip(src.iter()) {
-                    if let (SigBit::Const(v), Some(i)) = (sbit, index.bit_id(index.canon(*dst))) {
-                        consts[i] = Some(*v);
+                    // only a wire bit forwards: constants keep ids 0..3
+                    let dst = index.canon(*dst);
+                    if let (SigBit::Wire(..), Some(i)) = (dst, index.bit_id(dst)) {
+                        forward[i] = Some(*sbit);
                     }
                 }
                 module.connect(out_spec.clone(), src);
@@ -91,7 +105,7 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
             };
             let out = eval_cell(kind, &inputs, w);
             let src: SigSpec = out.into_iter().map(SigBit::Const).collect();
-            changes += usize::from(replace_with(module, src, &mut consts));
+            changes += usize::from(replace_with(module, src, forward));
             continue;
         }
 
@@ -99,17 +113,17 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
             CellKind::Mux => {
                 match s.bit(0) {
                     SigBit::Const(TriVal::Zero) => {
-                        changes += usize::from(replace_with(module, a, &mut consts));
+                        changes += usize::from(replace_with(module, a, forward));
                         continue;
                     }
                     SigBit::Const(TriVal::One) => {
-                        changes += usize::from(replace_with(module, b, &mut consts));
+                        changes += usize::from(replace_with(module, b, forward));
                         continue;
                     }
                     _ => {}
                 }
                 if a == b {
-                    changes += usize::from(replace_with(module, a, &mut consts));
+                    changes += usize::from(replace_with(module, a, forward));
                     continue;
                 }
             }
@@ -143,7 +157,7 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
                     None
                 };
                 if let Some(src) = folded {
-                    changes += usize::from(replace_with(module, src, &mut consts));
+                    changes += usize::from(replace_with(module, src, forward));
                     continue;
                 }
             }
@@ -151,7 +165,7 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
                 let neg = kind == CellKind::Ne;
                 if a == b {
                     let v = SigSpec::const_u64(u64::from(!neg), 1);
-                    changes += usize::from(replace_with(module, v, &mut consts));
+                    changes += usize::from(replace_with(module, v, forward));
                     continue;
                 }
                 // contradictory known bits ⇒ never equal
@@ -164,7 +178,7 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
                 });
                 if contradiction {
                     let v = SigSpec::const_u64(u64::from(neg), 1);
-                    changes += usize::from(replace_with(module, v, &mut consts));
+                    changes += usize::from(replace_with(module, v, forward));
                     continue;
                 }
                 // 1-bit eq against constant: wire or inverter
@@ -178,11 +192,8 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
                         let want_one = (v == TriVal::One) != neg;
                         if want_one {
                             // y = sig
-                            changes += usize::from(replace_with(
-                                module,
-                                SigSpec::from_bit(sig),
-                                &mut consts,
-                            ));
+                            changes +=
+                                usize::from(replace_with(module, SigSpec::from_bit(sig), forward));
                             continue;
                         } else {
                             // y = !sig : rewrite the cell into a Not
@@ -223,7 +234,7 @@ pub(crate) fn sweep(module: &mut Module) -> Option<usize> {
                 }
                 if changed {
                     if new_sels.is_empty() {
-                        changes += usize::from(replace_with(module, default, &mut consts));
+                        changes += usize::from(replace_with(module, default, forward));
                     } else if new_sels.len() == 1 {
                         // degenerate pmux: a plain mux
                         let c = module.cell_mut(id).expect("live cell");

@@ -16,11 +16,18 @@ use std::collections::hash_map::{Entry, HashMap};
 /// A cell's key is its kind plus, per input port, the port's width and
 /// the dense ids ([`NetIndex::bit_id`]) of its canonical bits.
 pub fn opt_merge(module: &mut Module) -> usize {
-    let index = NetIndex::build(module);
+    sweep(module, &NetIndex::build(module))
+}
+
+/// [`opt_merge`] over `index`, which must still be valid for `module`:
+/// built from it as it is, or before pins were applied to it
+/// ([`crate::apply_pins`]). The topological order is taken now, after
+/// any pins, since it picks the survivors.
+pub(crate) fn sweep(module: &mut Module, index: &NetIndex) -> usize {
     let mut seen: HashMap<(CellKind, Vec<u32>), CellId> = HashMap::new();
     let mut merges: Vec<(CellId, CellId)> = Vec::new();
 
-    let order = match module.topo_order_with(&index) {
+    let order = match module.topo_order_with(index) {
         Ok(o) => o,
         Err(_) => return 0,
     };

@@ -21,7 +21,9 @@
 //! constant ⇒ pass-through) is left to [`crate::opt_const`], mirroring how
 //! Yosys splits the work between `opt_muxtree` and `opt_expr`.
 
-use smartly_netlist::{Cell, CellId, CellKind, Module, NetIndex, Port, SigBit, TriVal};
+use smartly_netlist::{
+    Cell, CellId, CellKind, Module, NetIndex, Port, ReaderCounts, SigBit, TriVal,
+};
 use std::collections::{HashMap, HashSet};
 
 /// The select bits (canonical) fixed on the path from a tree root down to
@@ -47,13 +49,21 @@ pub struct Pin {
 /// Run [`crate::clean_pipeline`] afterwards to realize the removals, or
 /// use [`crate::baseline_optimize`] which does both to a fixpoint.
 pub fn opt_muxtree(module: &mut Module) -> usize {
-    let index = NetIndex::build(module);
-    let pins = walk_muxtrees(module, &index, |_, _| None);
+    sweep(module, &NetIndex::build(module))
+}
+
+/// [`opt_muxtree`] over `index`, built from `module` as it is. The pins
+/// leave `index` exact ([`apply_pins`]), so the caller may go on using it.
+pub(crate) fn sweep(module: &mut Module, index: &NetIndex) -> usize {
+    let readers = ReaderCounts::build(module, index);
+    let pins = walk_muxtrees(module, index, &readers, |_, _| None);
     apply_pins(module, &pins);
     pins.len()
 }
 
 /// Walks every mux tree of `module` and returns the pins it finds.
+/// `readers` must be counted over `index` ([`ReaderCounts::build`]); they
+/// decide tree membership ([`slot_child`]).
 ///
 /// A select bit the path condition does not decide is passed, with the
 /// path condition, to `resolve`; a `Some` answer pins it. The walk
@@ -66,13 +76,15 @@ pub fn opt_muxtree(module: &mut Module) -> usize {
 pub fn walk_muxtrees(
     module: &Module,
     index: &NetIndex,
+    readers: &ReaderCounts,
     mut resolve: impl FnMut(SigBit, &PathCondition) -> Option<bool>,
 ) -> Vec<Pin> {
     let mut pins = Vec::new();
-    let mut stack: Vec<(CellId, PathCondition)> = muxtree_roots(module, index, is_mux_like)
-        .into_iter()
-        .map(|root| (root, PathCondition::new()))
-        .collect();
+    let mut stack: Vec<(CellId, PathCondition)> =
+        muxtree_roots(module, index, readers, is_mux_like)
+            .into_iter()
+            .map(|root| (root, PathCondition::new()))
+            .collect();
     while let Some((id, path)) = stack.pop() {
         let cell = module.cell(id).expect("live mux");
         let port = |p: Port| cell.port(p).expect("mux port").bits();
@@ -117,7 +129,7 @@ pub fn walk_muxtrees(
             // a decided `mux` select: only the live branch continues the path
             (CellKind::Mux, &[(_, Some(live))]) => {
                 let slot = port(if live { Port::B } else { Port::A });
-                if let Some(child) = slot_child(module, index, slot) {
+                if let Some(child) = slot_child(module, index, readers, slot) {
                     stack.push((child, path));
                 }
             }
@@ -126,7 +138,7 @@ pub fn walk_muxtrees(
             // and every earlier select is 0
             _ => {
                 for (j, slot) in data_slots(cell).enumerate() {
-                    let Some(child) = slot_child(module, index, slot) else {
+                    let Some(child) = slot_child(module, index, readers, slot) else {
                         continue;
                     };
                     let fixed = if j == 0 { sels.len() } else { j };
@@ -145,6 +157,11 @@ pub fn walk_muxtrees(
 }
 
 /// Writes each pin's value into its port bit.
+///
+/// Only cell input bits change: no connection, cell output or wire. So a
+/// [`NetIndex`] built before the pins keeps exact canonical bits and
+/// drivers after them (a [`ReaderCounts`] does not: a pinned bit no
+/// longer reads its wire).
 pub fn apply_pins(module: &mut Module, pins: &[Pin]) {
     for pin in pins {
         if let Some(spec) = module.cell_mut(pin.cell).and_then(|c| c.port_mut(pin.port)) {
@@ -156,8 +173,14 @@ pub fn apply_pins(module: &mut Module, pins: &[Pin]) {
 /// The mux-tree node that owns the data slot `slot`: the `mux` or `pmux`
 /// cell whose whole output is exactly `slot`, in order, provided nothing
 /// but this slot reads that output. Every mux-tree membership test in the
-/// workspace goes through this one rule.
-pub fn slot_child(module: &Module, index: &NetIndex, slot: &[SigBit]) -> Option<CellId> {
+/// workspace goes through this one rule; `readers` must be counted over
+/// `index`.
+pub fn slot_child(
+    module: &Module,
+    index: &NetIndex,
+    readers: &ReaderCounts,
+    slot: &[SigBit],
+) -> Option<CellId> {
     let first = index.driver(index.canon(*slot.first()?))?;
     let cell = module.cell(first.cell)?;
     if !is_mux_like(cell.kind) || cell.output().width() != slot.len() {
@@ -169,12 +192,12 @@ pub fn slot_child(module: &Module, index: &NetIndex, slot: &[SigBit]) -> Option<
             return None;
         }
     }
-    let readers: usize = cell
+    let read: usize = cell
         .output()
         .iter()
-        .map(|bit| index.fanout_count(index.canon(*bit)))
+        .map(|bit| readers.get(index, index.canon(*bit)))
         .sum();
-    (readers == slot.len()).then_some(first.cell)
+    (read == slot.len()).then_some(first.cell)
 }
 
 /// The tree roots among the cells whose kind `node` accepts, in cell
@@ -182,13 +205,14 @@ pub fn slot_child(module: &Module, index: &NetIndex, slot: &[SigBit]) -> Option<
 pub fn muxtree_roots(
     module: &Module,
     index: &NetIndex,
+    readers: &ReaderCounts,
     node: impl Fn(CellKind) -> bool,
 ) -> Vec<CellId> {
     let nodes: Vec<(CellId, &Cell)> = module.cells().filter(|(_, c)| node(c.kind)).collect();
     let owned: HashSet<CellId> = nodes
         .iter()
         .flat_map(|(_, cell)| data_slots(cell))
-        .filter_map(|slot| slot_child(module, index, slot))
+        .filter_map(|slot| slot_child(module, index, readers, slot))
         .filter(|&child| module.cell(child).is_some_and(|c| node(c.kind)))
         .collect();
     nodes
