@@ -19,13 +19,20 @@
 //!    class; a budget-out leaves it unmerged, which is sound. Once the
 //!    internal equivalences are merged, rewritten cones fold back
 //!    together and their output pairs collapse structurally.
+//!
+//!    Both calls of a proof run inside the solver domain of the two cones
+//!    they compare ([`smartly_sat::Solver::set_domain`]): the fan-in
+//!    cones are closed under their Tseitin definitions, so the search
+//!    decides and propagates only those cones, however much of the
+//!    shared graph the solver has encoded before.
 //! 3. **Miter the rest.** Only output pairs still distinct on the reduced
-//!    graph reach a final miter.
+//!    graph reach a final miter, inside the domain of the pair's cones
+//!    and the miter's XOR.
 
 use crate::graph::{Aig, AigLit, AigNode};
 use crate::map::{aigmap, SharedMapper};
 use smartly_netlist::{Module, NetlistError};
-use smartly_sat::{Lit, SolveResult, TseitinEncoder};
+use smartly_sat::{Lit, SolveResult, TseitinEncoder, Var};
 use std::collections::HashMap;
 
 /// Conflict budget of each internal sweep proof. A proof that runs out
@@ -222,6 +229,12 @@ struct Sweep<'a> {
     enc: TseitinEncoder,
     /// New node → its solver literal, encoded on demand.
     sat_lit: Vec<Option<Lit>>,
+    /// New node → the DFS epoch that last collected it into a domain.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Scratch of that DFS: its stack and the variables it collected.
+    stack: Vec<u32>,
+    domain: Vec<Var>,
 }
 
 impl<'a> Sweep<'a> {
@@ -267,6 +280,10 @@ impl<'a> Sweep<'a> {
             redirect,
             enc: TseitinEncoder::new(),
             sat_lit: Vec::new(),
+            stamp: Vec::new(),
+            epoch: 0,
+            stack: Vec::new(),
+            domain: Vec::new(),
         };
         let mut state = options.seed | 1;
         let mut next = move || {
@@ -412,25 +429,56 @@ impl<'a> Sweep<'a> {
         negate_if(self.map[l.node() as usize], l.is_complement())
     }
 
-    /// Two budgeted assumption calls: can `x` and `y` differ either way?
+    /// Two budgeted assumption calls inside the cones of `x` and `y`: can
+    /// they differ either way?
     fn prove(&mut self, x: AigLit, y: AigLit) -> Proof {
         let sx = self.encode(x);
         let sy = self.encode(y);
         self.enc
             .solver_mut()
             .set_conflict_budget(Some(SWEEP_BUDGET));
-        for assumptions in [[sx, !sy], [!sx, sy]] {
-            match self.enc.solve_with(&assumptions) {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => return Proof::Differ,
-                SolveResult::Unknown => return Proof::Unknown,
+        self.enter_domain(x, y, None);
+        let proof = [[sx, !sy], [!sx, sy]]
+            .iter()
+            .find_map(|assumptions| match self.enc.solve_with(assumptions) {
+                SolveResult::Unsat => None,
+                SolveResult::Sat => Some(Proof::Differ),
+                SolveResult::Unknown => Some(Proof::Unknown),
+            })
+            .unwrap_or(Proof::Equal);
+        self.enc.clear_domain();
+        proof
+    }
+
+    /// Sets the solver domain to the variables of the encoded cones of `x`
+    /// and `y`, plus `extra`: one epoch-stamped DFS over `new`.
+    fn enter_domain(&mut self, x: AigLit, y: AigLit, extra: Option<Lit>) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // wrapped: clear the stamps so stale marks are impossible
+            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.epoch = 1;
+        }
+        self.stamp.resize(self.new.node_count(), 0);
+        self.domain.clear();
+        self.stack.clear();
+        self.stack.extend([x.node(), y.node()]);
+        while let Some(v) = self.stack.pop() {
+            if std::mem::replace(&mut self.stamp[v as usize], self.epoch) == self.epoch {
+                continue;
+            }
+            let lit = self.sat_lit[v as usize].expect("the cone is encoded");
+            self.domain.push(lit.var());
+            if let AigNode::And(a, b) = self.new.node(AigLit::from_node(v)) {
+                self.stack.extend([a.node(), b.node()]);
             }
         }
-        Proof::Equal
+        self.domain.extend(extra.map(Lit::var));
+        self.enc.set_domain(&self.domain);
     }
 
     /// Adds the last model to every signature as one more pattern (inputs
-    /// outside the encoded cones read 0), which splits the classes it
+    /// outside the proof's cones read 0), which splits the classes it
     /// tells apart.
     fn refine(&mut self) {
         if self.cex_lanes == 64 {
@@ -474,7 +522,10 @@ impl<'a> Sweep<'a> {
             let sy = self.encode(y);
             let miter = self.enc.xor(sx, sy);
             self.enc.solver_mut().set_conflict_budget(budget);
-            match self.enc.solve_with(&[miter]) {
+            self.enter_domain(x, y, Some(miter));
+            let result = self.enc.solve_with(&[miter]);
+            self.enc.clear_domain();
+            match result {
                 SolveResult::Unsat => {}
                 SolveResult::Unknown => {
                     let verdict = EquivResult::Unknown {

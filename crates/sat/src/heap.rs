@@ -6,11 +6,11 @@
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActivityHeap {
     heap: Vec<u32>,
-    /// position of each var in `heap`, or `usize::MAX` when absent
-    index: Vec<usize>,
+    /// position of each var in `heap`, or `ABSENT`
+    index: Vec<u32>,
 }
 
-const ABSENT: usize = usize::MAX;
+const ABSENT: u32 = u32::MAX;
 
 impl ActivityHeap {
     pub fn new() -> Self {
@@ -28,6 +28,14 @@ impl ActivityHeap {
         (v as usize) < self.index.len() && self.index[v as usize] != ABSENT
     }
 
+    /// Empties the heap, keeping its allocations.
+    pub fn clear(&mut self) {
+        for &v in &self.heap {
+            self.index[v as usize] = ABSENT;
+        }
+        self.heap.clear();
+    }
+
     fn ensure(&mut self, v: u32) {
         if self.index.len() <= v as usize {
             self.index.resize(v as usize + 1, ABSENT);
@@ -39,7 +47,7 @@ impl ActivityHeap {
         if self.contains(v) {
             return;
         }
-        self.index[v as usize] = self.heap.len();
+        self.index[v as usize] = self.heap.len() as u32;
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, activity);
     }
@@ -47,7 +55,7 @@ impl ActivityHeap {
     /// Restores heap order after `v`'s activity increased.
     pub fn bump(&mut self, v: u32, activity: &[f64]) {
         if self.contains(v) {
-            let pos = self.index[v as usize];
+            let pos = self.index[v as usize] as usize;
             self.sift_up(pos, activity);
         }
     }
@@ -76,11 +84,11 @@ impl ActivityHeap {
                 break;
             }
             self.heap[pos] = pv;
-            self.index[pv as usize] = pos;
+            self.index[pv as usize] = pos as u32;
             pos = parent;
         }
         self.heap[pos] = v;
-        self.index[v as usize] = pos;
+        self.index[v as usize] = pos as u32;
     }
 
     fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
@@ -104,11 +112,11 @@ impl ActivityHeap {
                 break;
             }
             self.heap[pos] = cv;
-            self.index[cv as usize] = pos;
+            self.index[cv as usize] = pos as u32;
             pos = child;
         }
         self.heap[pos] = v;
-        self.index[v as usize] = pos;
+        self.index[v as usize] = pos as u32;
     }
 }
 
@@ -154,5 +162,22 @@ mod tests {
         h.pop_max(&activity);
         assert!(!h.contains(1));
         assert!(h.contains(0));
+    }
+
+    #[test]
+    fn clear_empties_and_allows_reuse() {
+        let activity = vec![1.0, 2.0, 3.0];
+        let mut h = ActivityHeap::new();
+        for v in 0..3 {
+            h.insert(v, &activity);
+        }
+        h.clear();
+        assert_eq!(h.len(), 0);
+        assert!((0..3).all(|v| !h.contains(v)));
+        assert_eq!(h.pop_max(&activity), None);
+        h.insert(1, &activity);
+        h.insert(2, &activity);
+        assert_eq!(h.pop_max(&activity), Some(2));
+        assert_eq!(h.pop_max(&activity), Some(1));
     }
 }

@@ -26,7 +26,17 @@
 //!   cancellation token polled every few conflicts alongside the budget,
 //!   so a wall-clock limit interrupts a stuck solve mid-search; expiry
 //!   surfaces as [`SolveResult::Unknown`], exactly like budget
-//!   exhaustion.
+//!   exhaustion,
+//! * **temporary domains** ([`Solver::set_domain`], gipsat's
+//!   `temporary_domain`): the next solves decide and assign only a given
+//!   set of variables, so a query over one cone of a large incremental
+//!   formula propagates only that cone. The contract: every assignment
+//!   of the domain that satisfies the clauses inside it must leave the
+//!   clauses that mention an outside variable satisfiable by the outside
+//!   variables, as a fan-in-closed cone plus the assumption variables
+//!   does. Then UNSAT holds for the whole formula, a model extends to it
+//!   by evaluating the outside nodes, and every learnt clause stays
+//!   valid once the domain is lifted.
 //!
 //! [`tseitin::TseitinEncoder`] layers gate-consistency encoding on top, so
 //! circuit cones can be asserted directly.

@@ -30,6 +30,15 @@
 //! conflicts are much worse than the long-run average (`restarts`).
 //! Branching reuses each variable's last assigned value (plain phase
 //! saving), and a restart keeps those saved phases.
+//!
+//! # Temporary domains
+//!
+//! [`Solver::set_domain`] confines the next solves to a set of variables,
+//! gipsat's `temporary_domain`: the search decides only domain variables,
+//! from a second activity heap, and propagation never assigns a variable
+//! outside the domain. A query over one small cone of a large incremental
+//! formula then costs propagations in that cone alone. Without a domain,
+//! every code path is the unrestricted one.
 
 use crate::deadline::Deadline;
 use crate::heap::ActivityHeap;
@@ -110,6 +119,7 @@ impl SolverStats {
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 enum LBool {
     True,
     False,
@@ -180,9 +190,12 @@ pub struct Solver {
     /// Words occupied by deleted clauses, pending compaction.
     garbage: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// The value of each literal, indexed by [`Lit::code`]: assigning or
+    /// unassigning a variable writes both of its literals.
+    vals: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<Option<u32>>,
+    /// Each variable's reason clause, or [`NO_REASON`].
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -203,7 +216,8 @@ pub struct Solver {
     lbd_seen: Vec<u32>,
     lbd_stamp: u32,
     ok: bool,
-    model: Vec<bool>,
+    /// `vals` as the last satisfying call left it.
+    model: Vec<LBool>,
     stats: SolverStats,
     conflict_budget: Option<u64>,
     deadline: Deadline,
@@ -223,6 +237,34 @@ pub struct Solver {
     /// slow average behaves like Glucose's global mean early on instead
     /// of anchoring at whatever the first conflict's LBD happened to be.
     ema_samples: u64,
+    /// Conflict-analysis scratch, kept across conflicts: the learnt
+    /// clause, the variables marked `seen`, and the minimization stack.
+    learnt: Vec<Lit>,
+    to_clear: Vec<Var>,
+    redundant_stack: Vec<Lit>,
+    domain: Domain,
+}
+
+/// The reason of a decision, an assumption or an unassigned variable.
+const NO_REASON: u32 = u32::MAX;
+
+/// The temporary domain of [`Solver::set_domain`].
+#[derive(Clone, Debug, Default)]
+struct Domain {
+    /// Whether a domain is set.
+    active: bool,
+    /// The variables `v` with `mark[v] == epoch` form the domain.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// The unassigned domain variables, by activity: a search inside the
+    /// domain decides from here instead of `Solver::order`.
+    order: ActivityHeap,
+    /// Level-0 trail position where the domain began: the literals from
+    /// here on were propagated under it, so lifting it propagates them
+    /// again.
+    qhead: usize,
+    /// Assignments made to variables outside the domain while it was set.
+    escapes: u64,
 }
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
@@ -257,7 +299,7 @@ impl Solver {
             arena: Vec::new(),
             garbage: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -285,28 +327,33 @@ impl Solver {
             ema_lbd_fast: 0.0,
             ema_lbd_slow: 0.0,
             ema_samples: 0,
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            redundant_stack: Vec::new(),
+            domain: Domain::default(),
         }
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.extend([LBool::Undef, LBool::Undef]);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.polarity.push(false);
         self.seen.push(false);
         self.lbd_seen.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.domain.mark.push(0);
         self.order.insert(v.0, &self.activity);
         v
     }
 
     /// Number of variables allocated.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Search statistics so far.
@@ -332,28 +379,89 @@ impl Solver {
         self.deadline = deadline;
     }
 
+    /// Confines the next solves to `vars`: the search decides only domain
+    /// variables, and propagation assigns nothing outside the domain. The
+    /// domain holds over any number of [`Solver::solve_with`] calls until
+    /// [`Solver::clear_domain`] (or the next `set_domain`) lifts it.
+    ///
+    /// **Contract.** For every assignment of the domain that satisfies
+    /// the clauses inside it, the clauses that mention an outside
+    /// variable must be satisfiable by the outside variables. A domain
+    /// closed under Tseitin definitions satisfies it: a fan-in-closed
+    /// cone plus the assumption variables. Under the contract,
+    ///
+    /// * an UNSAT answer is UNSAT of a subset of the clauses, so it holds
+    ///   for the whole formula;
+    /// * a SAT answer assigns the domain and extends to a model of the
+    ///   whole formula, by evaluating every outside node from its
+    ///   fan-ins; [`Solver::model_value`] of a variable the call left
+    ///   unassigned is `None`;
+    /// * every learnt clause is implied by the formula, so it stays valid
+    ///   after the domain is lifted.
+    ///
+    /// Variables assigned at level 0 keep their values. Clauses may not be
+    /// added while a domain is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a variable that was never allocated.
+    pub fn set_domain(&mut self, vars: &[Var]) {
+        debug_assert_eq!(self.decision_level(), 0);
+        self.clear_domain();
+        let d = &mut self.domain;
+        d.epoch = d.epoch.wrapping_add(1);
+        if d.epoch == 0 {
+            // wrapped: clear the stamps so stale marks are impossible
+            d.mark.iter_mut().for_each(|m| *m = 0);
+            d.epoch = 1;
+        }
+        d.active = true;
+        d.qhead = self.qhead;
+        for &v in vars {
+            d.mark[v.index()] = d.epoch;
+            if self.vals[Lit::pos(v).code()] == LBool::Undef {
+                d.order.insert(v.0, &self.activity);
+            }
+        }
+    }
+
+    /// Lifts the domain of [`Solver::set_domain`], if any, and propagates
+    /// again the level-0 literals enqueued under it, so that no level-0
+    /// implication it skipped is lost to the unrestricted search.
+    pub fn clear_domain(&mut self) {
+        if !self.domain.active {
+            return;
+        }
+        debug_assert_eq!(self.decision_level(), 0);
+        self.domain.active = false;
+        self.domain.order.clear();
+        if self.ok {
+            self.qhead = self.qhead.min(self.domain.qhead);
+            if self.propagate().is_some() {
+                self.ok = false;
+            }
+        }
+    }
+
+    /// How many assignments went to variables outside a domain while it
+    /// was set, over the solver's life. Propagation and branching never
+    /// make one; only an assumption outside the domain would, and that
+    /// breaks the [`Solver::set_domain`] contract.
+    pub fn domain_escapes(&self) -> u64 {
+        self.domain.escapes
+    }
+
+    /// Whether `v` lies in the domain (meaningful only while one is set).
+    fn in_domain(&self, v: Var) -> bool {
+        self.domain.mark[v.index()] == self.domain.epoch
+    }
+
     fn value_var(&self, v: Var) -> LBool {
-        self.assigns[v.index()]
+        self.vals[Lit::pos(v).code()]
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_neg() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-            LBool::False => {
-                if l.is_neg() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-        }
+        self.vals[l.code()]
     }
 
     // -- arena accessors ------------------------------------------------
@@ -428,6 +536,7 @@ impl Solver {
     /// unallocated variable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
         assert_eq!(self.decision_level(), 0, "clauses are added at level 0");
+        debug_assert!(!self.domain.active, "clauses are added outside a domain");
         if !self.ok {
             return false;
         }
@@ -458,7 +567,7 @@ impl Solver {
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], None);
+                self.unchecked_enqueue(out[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
@@ -511,14 +620,14 @@ impl Solver {
         self.trail_lim.len()
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, from: Option<u32>) {
+    fn unchecked_enqueue(&mut self, l: Lit, from: u32) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        if self.domain.active && !self.in_domain(l.var()) {
+            self.domain.escapes += 1;
+        }
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
         let v = l.var().index();
-        self.assigns[v] = if l.is_neg() {
-            LBool::False
-        } else {
-            LBool::True
-        };
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.trail.push(l);
@@ -526,29 +635,42 @@ impl Solver {
 
     /// Unit propagation; returns the conflicting clause if any.
     ///
-    /// Watch lists are compacted in place with a read/write cursor pair:
-    /// watchers that stay (satisfied blocker, updated blocker, unit or
-    /// conflict) are moved down at most once and the list is truncated at
-    /// the end — no `mem::take`/re-push round trip, and the arena is not
-    /// touched at all when the blocking literal is already true.
+    /// Each watch list is taken out of `watches` while it is scanned and
+    /// compacted in place with a read/write cursor pair: watchers that stay
+    /// (satisfied blocker, updated blocker, unit or conflict) are moved
+    /// down at most once and the list is truncated at the end. No watcher
+    /// moves into the list being scanned, since a new watch is never
+    /// false, and the arena is not touched when the blocking literal is
+    /// already true.
+    ///
+    /// Inside a domain, a watcher whose blocker is an unassigned outside
+    /// literal is kept without reading its clause, and a clause that
+    /// becomes unit on an outside literal is left alone: the outside
+    /// literal stays unassigned for the whole call, so neither clause can
+    /// propagate or conflict in it.
     fn propagate(&mut self) -> Option<u32> {
         let mut conflict = None;
+        let domain = self.domain.active;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
             let fcode = false_lit.code();
-            let n = self.watches[fcode].len();
+            let mut ws = std::mem::take(&mut self.watches[fcode]);
+            let n = ws.len();
             let mut i = 0usize; // read cursor
             let mut j = 0usize; // write cursor
             'watchers: while i < n {
-                let w = self.watches[fcode][i];
+                let w = ws[i];
+                i += 1;
                 // fast path: blocker already true — clause satisfied,
                 // watcher kept, arena untouched
-                if self.value_lit(w.blocker) == LBool::True {
-                    self.watches[fcode][j] = w;
-                    i += 1;
+                let blocker = self.vals[w.blocker.code()];
+                if blocker == LBool::True
+                    || (domain && blocker == LBool::Undef && !self.in_domain(w.blocker.var()))
+                {
+                    ws[j] = w;
                     j += 1;
                     continue;
                 }
@@ -560,12 +682,11 @@ impl Solver {
                 }
                 debug_assert_eq!(self.arena[base + 1], false_lit.0);
                 let first = Lit(self.arena[base]);
-                if first != w.blocker && self.value_lit(first) == LBool::True {
-                    self.watches[fcode][j] = Watcher {
+                if first != w.blocker && self.vals[first.code()] == LBool::True {
+                    ws[j] = Watcher {
                         cref,
                         blocker: first,
                     };
-                    i += 1;
                     j += 1;
                     continue;
                 }
@@ -573,39 +694,38 @@ impl Solver {
                 let size = (self.arena[cref as usize] & SIZE_MASK) as usize;
                 for k in 2..size {
                     let lk = Lit(self.arena[base + k]);
-                    if self.value_lit(lk) != LBool::False {
+                    if self.vals[lk.code()] != LBool::False {
                         self.arena.swap(base + 1, base + k);
                         // `lk` is not false while `false_lit` is, so this
-                        // push never targets the list being compacted
+                        // push never targets the list being scanned
                         self.watches[lk.code()].push(Watcher {
                             cref,
                             blocker: first,
                         });
-                        i += 1; // watcher moved away: not re-written
-                        continue 'watchers;
+                        continue 'watchers; // watcher moved away
                     }
                 }
                 // no new watch: clause is unit or conflicting
-                self.watches[fcode][j] = Watcher {
+                ws[j] = Watcher {
                     cref,
                     blocker: first,
                 };
-                i += 1;
                 j += 1;
-                if self.value_lit(first) == LBool::False {
+                if self.vals[first.code()] == LBool::False {
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
                     // keep the unvisited suffix: slide it down
-                    while i < n {
-                        self.watches[fcode][j] = self.watches[fcode][i];
-                        i += 1;
-                        j += 1;
-                    }
+                    ws.copy_within(i..n, j);
+                    j += n - i;
                     break;
                 }
-                self.unchecked_enqueue(first, Some(cref));
+                if domain && !self.in_domain(first.var()) {
+                    continue; // unit on an outside literal: left alone
+                }
+                self.unchecked_enqueue(first, cref);
             }
-            self.watches[fcode].truncate(j);
+            ws.truncate(j);
+            self.watches[fcode] = ws;
             if conflict.is_some() {
                 break;
             }
@@ -622,6 +742,9 @@ impl Solver {
             self.var_rescale_pending = true;
         }
         self.order.bump(v.0, &self.activity);
+        if self.domain.active {
+            self.domain.order.bump(v.0, &self.activity);
+        }
     }
 
     fn cla_bump(&mut self, cref: u32) {
@@ -691,15 +814,17 @@ impl Solver {
         lbd
     }
 
-    /// 1-UIP conflict analysis with deep clause minimization.
-    /// Returns (learnt clause with asserting literal first, backtrack
-    /// level, LBD of the learnt clause).
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, usize, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for asserting literal
+    /// 1-UIP conflict analysis with deep clause minimization. Leaves the
+    /// learnt clause, asserting literal first, in `self.learnt`, and
+    /// returns (backtrack level, LBD of the learnt clause).
+    fn analyze(&mut self, mut confl: u32) -> (usize, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut to_clear = std::mem::take(&mut self.to_clear);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot for asserting literal
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut to_clear: Vec<Var> = Vec::new();
 
         loop {
             self.cla_bump(confl);
@@ -733,27 +858,31 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
-            confl = self.reason[pl.var().index()].expect("non-decision must have a reason");
+            confl = self.reason[pl.var().index()];
+            debug_assert_ne!(confl, NO_REASON, "non-decision must have a reason");
         }
         learnt[0] = !p.expect("asserting literal");
 
-        // deep minimization: drop literals implied by the rest
+        // deep minimization, in place: drop literals implied by the rest
         let abstract_levels = learnt[1..]
             .iter()
             .fold(0u32, |acc, l| acc | self.abstract_level(l.var()));
-        let mut keep: Vec<Lit> = vec![learnt[0]];
-        for &l in &learnt[1..] {
-            if self.reason[l.var().index()].is_none()
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().index()] == NO_REASON
                 || !self.lit_redundant(l, abstract_levels, &mut to_clear)
             {
-                keep.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        let mut learnt = keep;
+        learnt.truncate(kept);
 
-        for v in to_clear {
+        for v in to_clear.drain(..) {
             self.seen[v.index()] = false;
         }
+        self.to_clear = to_clear;
 
         // LBD at learn time (before unwinding destroys the levels)
         let lbd = self.lbd_of(&learnt);
@@ -771,22 +900,27 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, bt_level, lbd)
+        self.learnt = learnt;
+        (bt_level, lbd)
     }
 
     /// Checks whether `p` is redundant w.r.t. the currently-seen literals
     /// (MiniSAT `litRedundant`, iterative).
     fn lit_redundant(&mut self, p: Lit, abstract_levels: u32, to_clear: &mut Vec<Var>) -> bool {
-        let mut stack = vec![p];
+        let mut stack = std::mem::take(&mut self.redundant_stack);
+        stack.clear();
+        stack.push(p);
         let top = to_clear.len();
-        while let Some(q) = stack.pop() {
-            let cref = self.reason[q.var().index()].expect("reason checked by caller");
+        let mut redundant = true;
+        'search: while let Some(q) = stack.pop() {
+            let cref = self.reason[q.var().index()];
+            debug_assert_ne!(cref, NO_REASON, "reason checked by caller");
             let size = self.clause_size(cref);
             for k in 1..size {
                 let l = self.clause_lit(cref, k);
                 let v = l.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    if self.reason[v.index()].is_some()
+                    if self.reason[v.index()] != NO_REASON
                         && (self.abstract_level(v) & abstract_levels) != 0
                     {
                         self.seen[v.index()] = true;
@@ -797,12 +931,14 @@ impl Solver {
                         for v2 in to_clear.drain(top..) {
                             self.seen[v2.index()] = false;
                         }
-                        return false;
+                        redundant = false;
+                        break 'search;
                     }
                 }
             }
         }
-        true
+        self.redundant_stack = stack;
+        redundant
     }
 
     fn cancel_until(&mut self, level: usize) {
@@ -814,18 +950,29 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var();
             self.polarity[v.index()] = !l.is_neg();
-            self.assigns[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
+            self.reason[v.index()] = NO_REASON;
             self.order.insert(v.0, &self.activity);
+            if self.domain.active && self.in_domain(v) {
+                self.domain.order.insert(v.0, &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level);
         self.qhead = self.trail.len();
     }
 
+    /// The unassigned variable of highest activity: a domain variable
+    /// while a domain is set.
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v as usize] == LBool::Undef {
+        let order = if self.domain.active {
+            &mut self.domain.order
+        } else {
+            &mut self.order
+        };
+        while let Some(v) = order.pop_max(&self.activity) {
+            if self.vals[Lit::pos(Var(v)).code()] == LBool::Undef {
                 return Some(Var(v));
             }
         }
@@ -904,7 +1051,7 @@ impl Solver {
                 w.cref = old[w.cref as usize + 1];
             }
         }
-        for r in self.reason.iter_mut().flatten() {
+        for r in self.reason.iter_mut().filter(|r| **r != NO_REASON) {
             debug_assert!(old[*r as usize] & DELETED_BIT == 0);
             *r = old[*r as usize + 1];
         }
@@ -914,7 +1061,7 @@ impl Solver {
 
     fn is_locked(&self, cref: u32) -> bool {
         let first = self.clause_lit(cref, 0);
-        self.reason[first.var().index()] == Some(cref) && self.value_lit(first) == LBool::True
+        self.reason[first.var().index()] == cref && self.value_lit(first) == LBool::True
     }
 
     /// Solves the current formula with no assumptions.
@@ -935,6 +1082,10 @@ impl Solver {
                 l.var().index() < self.num_vars(),
                 "assumption on unallocated variable"
             );
+            debug_assert!(
+                !self.domain.active || self.in_domain(l.var()),
+                "assumption outside the domain"
+            );
         }
         self.max_learnts = (self.num_originals as f64 / 3.0).max(100.0);
         let budget_start = self.stats.conflicts;
@@ -954,7 +1105,7 @@ impl Solver {
             }
         };
         if result == SolveResult::Sat {
-            self.model = self.assigns.iter().map(|&a| a == LBool::True).collect();
+            self.model.clone_from(&self.vals);
         }
         self.cancel_until(0);
         result
@@ -974,12 +1125,12 @@ impl Solver {
                 if self.decision_level() <= assumptions.len() {
                     // analyze to be sure the conflict does not depend on
                     // assumption-free levels; a simple sound answer:
-                    let (learnt, bt, lbd) = self.analyze(confl);
+                    let (bt, lbd) = self.analyze(confl);
                     if bt < assumptions.len() {
                         // learnt clause asserts at a level inside the
                         // assumption prefix: record it and retry there
                         self.cancel_until(bt);
-                        self.record_learnt(learnt, lbd);
+                        self.record_learnt(lbd);
                         if self.decision_level() == 0 && self.propagate().is_some() {
                             self.ok = false;
                             return SearchOutcome::Unsat;
@@ -987,10 +1138,10 @@ impl Solver {
                         continue;
                     }
                     self.cancel_until(bt);
-                    self.record_learnt(learnt, lbd);
+                    self.record_learnt(lbd);
                     continue;
                 }
-                let (learnt, bt, lbd) = self.analyze(confl);
+                let (bt, lbd) = self.analyze(confl);
                 // EMA restart control: every conflict feeds the
                 // fast/slow LBD averages, and a run of bad (high-LBD)
                 // conflicts forces a restart.
@@ -1002,7 +1153,7 @@ impl Solver {
                 let force_restart = conflicts_here >= EMA_MIN_CONFLICTS
                     && self.ema_lbd_fast > self.ema_lbd_slow * EMA_FORCE_RATIO;
                 self.cancel_until(bt);
-                self.record_learnt(learnt, lbd);
+                self.record_learnt(lbd);
                 self.var_inc *= VAR_DECAY;
                 self.cla_inc *= CLA_DECAY;
                 if let Some(b) = self.conflict_budget {
@@ -1045,7 +1196,7 @@ impl Solver {
                         }
                         LBool::Undef => {
                             self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(p, None);
+                            self.unchecked_enqueue(p, NO_REASON);
                         }
                     }
                     continue;
@@ -1056,20 +1207,22 @@ impl Solver {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         let phase = self.polarity[v.index()];
-                        self.unchecked_enqueue(Lit::new(v, phase), None);
+                        self.unchecked_enqueue(Lit::new(v, phase), NO_REASON);
                     }
                 }
             }
         }
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>, lbd: u32) {
+    /// Records the clause `analyze` left in `self.learnt`.
+    fn record_learnt(&mut self, lbd: u32) {
         // one pass per conflict, hoisted out of the per-bump branches
         self.apply_pending_rescales();
+        let learnt = std::mem::take(&mut self.learnt);
         if learnt.len() == 1 {
             self.cancel_until(0);
             if self.value_lit(learnt[0]) == LBool::Undef {
-                self.unchecked_enqueue(learnt[0], None);
+                self.unchecked_enqueue(learnt[0], NO_REASON);
             } else if self.value_lit(learnt[0]) == LBool::False {
                 self.ok = false;
             }
@@ -1077,18 +1230,22 @@ impl Solver {
             let first = learnt[0];
             let cref = self.attach_clause(&learnt, true, lbd);
             self.cla_bump(cref);
-            self.unchecked_enqueue(first, Some(cref));
+            self.unchecked_enqueue(first, cref);
         }
+        self.learnt = learnt;
     }
 
     /// The value of `l` in the last satisfying model.
     ///
-    /// Returns `None` before any successful `solve` or for variables
-    /// allocated afterwards.
+    /// Returns `None` before any successful `solve`, for variables
+    /// allocated afterwards, and for variables that a solve inside a
+    /// domain left unassigned (see [`Solver::set_domain`]).
     pub fn model_value(&self, l: Lit) -> Option<bool> {
-        self.model
-            .get(l.var().index())
-            .map(|&b| if l.is_neg() { !b } else { b })
+        match self.model.get(l.code())? {
+            LBool::True => Some(true),
+            LBool::False => Some(false),
+            LBool::Undef => None,
+        }
     }
 
     /// Whether the clause set is already known unsatisfiable.

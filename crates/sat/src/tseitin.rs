@@ -192,6 +192,19 @@ impl TseitinEncoder {
         self.solver.solve_with(assumptions)
     }
 
+    /// Confines the next solves to `vars`; see [`Solver::set_domain`].
+    /// The fan-in cones of the queried gates, with the assumption
+    /// variables, meet its contract. No gate may be encoded until
+    /// [`TseitinEncoder::clear_domain`].
+    pub fn set_domain(&mut self, vars: &[Var]) {
+        self.solver.set_domain(vars);
+    }
+
+    /// Lifts the domain; see [`Solver::clear_domain`].
+    pub fn clear_domain(&mut self) {
+        self.solver.clear_domain();
+    }
+
     /// Access to the underlying solver.
     pub fn solver(&self) -> &Solver {
         &self.solver

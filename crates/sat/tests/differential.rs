@@ -1,11 +1,14 @@
 //! Differential suite for the arena solver: seeded random 3-SAT pinned
 //! against exhaustive checking, plus regressions for learnt-database
 //! reduction and arena GC under assumption-scoped solving (clause GC
-//! must never drop reason clauses or core-tier learnts).
+//! must never drop reason clauses or core-tier learnts), and temporary
+//! domains checked against unrestricted solves and exhaustive circuit
+//! evaluation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smartly_sat::{Lit, SolveResult, Solver, Var};
+use smartly_sat::{Lit, SolveResult, Solver, TseitinEncoder, Var};
+use std::collections::HashSet;
 
 fn lit_of(l: i32) -> Lit {
     Lit::new(Var::from_index(l.unsigned_abs() as usize - 1), l > 0)
@@ -318,4 +321,199 @@ fn incremental_selector_stream_matches_exhaustive() {
     // The verdicts that matter: every random instance still answers
     // exactly as before the database was reduced and compacted.
     verify_all(&mut s, &mut rng, "post-reduction");
+}
+
+/// One gate of a [`Circuit`]: `xor` or AND over two earlier nodes, each
+/// read through a complement flag.
+struct Gate {
+    xor: bool,
+    a: (usize, bool),
+    b: (usize, bool),
+}
+
+/// A seeded random AND/XOR circuit encoded through [`TseitinEncoder`]:
+/// nodes `0..inputs` are inputs, node `inputs + k` is gate `k`.
+struct Circuit {
+    inputs: usize,
+    gates: Vec<Gate>,
+    /// The encoder literal of every node.
+    lits: Vec<Lit>,
+}
+
+impl Circuit {
+    fn random(rng: &mut StdRng, enc: &mut TseitinEncoder, inputs: usize, gates: usize) -> Self {
+        let mut c = Circuit {
+            inputs,
+            gates: Vec::new(),
+            lits: (0..inputs).map(|_| enc.fresh()).collect(),
+        };
+        for _ in 0..gates {
+            let n = c.lits.len();
+            let xor = rng.gen_bool(0.4);
+            let mut fanin = || (rng.gen_range(0..n), rng.gen_bool(0.5));
+            let gate = Gate {
+                xor,
+                a: fanin(),
+                b: fanin(),
+            };
+            let read = |(node, neg): (usize, bool)| if neg { !c.lits[node] } else { c.lits[node] };
+            let (a, b) = (read(gate.a), read(gate.b));
+            let y = if gate.xor {
+                enc.xor(a, b)
+            } else {
+                enc.and(a, b)
+            };
+            c.lits.push(y);
+            c.gates.push(gate);
+        }
+        c
+    }
+
+    /// Every node's value under input pattern `m` (bit `k` is input `k`).
+    fn eval(&self, m: u32) -> Vec<bool> {
+        let mut v: Vec<bool> = (0..self.inputs).map(|k| (m >> k) & 1 == 1).collect();
+        for g in &self.gates {
+            let (a, b) = (v[g.a.0] ^ g.a.1, v[g.b.0] ^ g.b.1);
+            v.push(if g.xor { a ^ b } else { a && b });
+        }
+        v
+    }
+
+    /// The fan-in cone of `roots`, inputs included.
+    fn cone(&self, roots: &[usize]) -> Vec<usize> {
+        let mut seen = vec![false; self.lits.len()];
+        let mut stack = roots.to_vec();
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n], true) {
+                continue;
+            }
+            if let Some(g) = n.checked_sub(self.inputs).map(|k| &self.gates[k]) {
+                stack.extend([g.a.0, g.b.0]);
+            }
+        }
+        (0..self.lits.len()).filter(|&n| seen[n]).collect()
+    }
+
+    /// Whether some input pattern gives every `(node, value)` its value.
+    fn satisfiable(&self, wanted: &[(usize, bool)]) -> bool {
+        (0..1u32 << self.inputs).any(|m| {
+            let v = self.eval(m);
+            wanted.iter().all(|&(n, value)| v[n] == value)
+        })
+    }
+}
+
+/// Checks a satisfying call made inside the domain of `cone`: every
+/// cone node has a model value, every cone gate holds on those values,
+/// and no variable outside the domain was left assigned.
+fn check_domain_model(s: &Solver, c: &Circuit, cone: &[usize], domain: &HashSet<Var>) {
+    let value = |n: usize| {
+        s.model_value(c.lits[n])
+            .unwrap_or_else(|| panic!("domain node {n} unassigned"))
+    };
+    for &n in cone {
+        if let Some(g) = n.checked_sub(c.inputs).map(|k| &c.gates[k]) {
+            let (a, b) = (value(g.a.0) ^ g.a.1, value(g.b.0) ^ g.b.1);
+            let y = if g.xor { a ^ b } else { a && b };
+            assert_eq!(value(n), y, "gate {n} violated by the domain model");
+        }
+    }
+    for v in (0..s.num_vars()).map(Var::from_index) {
+        if !domain.contains(&v) && s.fixed_value(v).is_none() {
+            assert_eq!(
+                s.model_value(Lit::pos(v)),
+                None,
+                "outside variable {v:?} assigned"
+            );
+        }
+    }
+}
+
+/// Temporary domains on seeded random circuits. Each domain is the
+/// fan-in cone of a few random roots, queried under random assumptions
+/// on its nodes, twice per domain, with unrestricted calls in between on
+/// the same solver. Every verdict inside the domain matches the
+/// unrestricted verdict and exhaustive evaluation, every model satisfies
+/// the domain's gates, and no call assigns a variable outside its domain.
+#[test]
+fn domain_verdicts_match_unrestricted_and_exhaustive() {
+    let mut rng = StdRng::seed_from_u64(0xD0_3A1E);
+    let (mut sat, mut unsat) = (0, 0);
+    for round in 0..40 {
+        let mut enc = TseitinEncoder::new();
+        let inputs = 4 + round % 5; // 4..=8
+        let c = Circuit::random(&mut rng, &mut enc, inputs, 16 + round % 24);
+        for query in 0..6 {
+            let gates = c.gates.len();
+            let roots: Vec<usize> = (0..rng.gen_range(1..4usize))
+                .map(|_| inputs + rng.gen_range(0..gates))
+                .collect();
+            let cone = c.cone(&roots);
+            let vars: Vec<Var> = cone.iter().map(|&n| c.lits[n].var()).collect();
+            let domain: HashSet<Var> = vars.iter().copied().collect();
+            enc.set_domain(&vars);
+            for call in 0..2 {
+                let wanted: Vec<(usize, bool)> = (0..rng.gen_range(1..4usize))
+                    .map(|_| (cone[rng.gen_range(0..cone.len())], rng.gen_bool(0.5)))
+                    .collect();
+                let assumptions: Vec<Lit> = wanted
+                    .iter()
+                    .map(|&(n, value)| if value { c.lits[n] } else { !c.lits[n] })
+                    .collect();
+                let expected = if c.satisfiable(&wanted) {
+                    SolveResult::Sat
+                } else {
+                    SolveResult::Unsat
+                };
+                let escapes = enc.solver().domain_escapes();
+                let got = enc.solve_with(&assumptions);
+                let ctx = format!("round {round} query {query} call {call}: {wanted:?}");
+                assert_eq!(got, expected, "domain verdict, {ctx}");
+                assert_eq!(enc.solver().domain_escapes(), escapes, "escape, {ctx}");
+                if got == SolveResult::Sat {
+                    check_domain_model(enc.solver(), &c, &cone, &domain);
+                    sat += 1;
+                } else {
+                    unsat += 1;
+                }
+                if call == 1 {
+                    enc.clear_domain();
+                    assert_eq!(
+                        enc.solve_with(&assumptions),
+                        expected,
+                        "unrestricted, {ctx}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        sat > 50 && unsat > 50,
+        "unbalanced verdicts: {sat} SAT, {unsat} UNSAT"
+    );
+}
+
+/// A unit learnt inside a domain whose level-0 implication leaves it:
+/// the domain holds back the implication, and lifting the domain makes
+/// it, so `fixed_value` sees it before any further solve.
+#[test]
+fn lifting_a_domain_propagates_its_level0_units() {
+    let mut s = Solver::new();
+    let (d, a, o) = (s.new_var(), s.new_var(), s.new_var());
+    // (d | a) & (d | !a) implies d; (!d | o) carries it out of the domain
+    s.add_clause([Lit::pos(d), Lit::pos(a)]);
+    s.add_clause([Lit::pos(d), Lit::neg(a)]);
+    s.add_clause([Lit::neg(d), Lit::pos(o)]);
+    s.set_domain(&[d, a]);
+    // all activities are equal: `d` is decided first, false, and the
+    // conflict teaches the unit `d`
+    assert_eq!(s.solve(), SolveResult::Sat);
+    assert_eq!(s.fixed_value(d), Some(true), "the unit `d` was learnt");
+    assert_eq!(s.fixed_value(o), None, "`o` lies outside the domain");
+    assert_eq!(s.model_value(Lit::pos(o)), None);
+    assert_eq!(s.domain_escapes(), 0);
+    s.clear_domain();
+    assert_eq!(s.fixed_value(o), Some(true), "lifting dropped `d -> o`");
+    assert_eq!(s.solve(), SolveResult::Sat);
+    assert_eq!(s.model_value(Lit::pos(o)), Some(true));
 }
