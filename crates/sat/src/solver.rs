@@ -119,7 +119,6 @@ impl SolverStats {
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[repr(u8)]
 enum LBool {
     True,
     False,
