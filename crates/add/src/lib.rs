@@ -36,7 +36,7 @@ use std::collections::HashMap;
 ///
 /// Index `i`'s bit `k` is the value of input bit `k` (LSB-first), matching
 /// the control-bus bit order of the restructuring pass.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FunctionTable {
     width: u32,
     entries: Vec<u32>,

@@ -122,14 +122,13 @@ fn infer_cell(
         };
     }
     let val = |bit: SigBit, assign: &HashMap<SigBit, bool>| value(index, assign, bit);
-    let a = cell.port(Port::A).cloned().unwrap_or_default();
-    let b = cell.port(Port::B).cloned().unwrap_or_default();
-    let s = cell.port(Port::S).cloned().unwrap_or_default();
-    let y = cell.output().clone();
+    let bits = |port: Port| cell.port(port).map_or(&[][..], |spec| spec.bits());
+    let (a, b, s) = (bits(Port::A), bits(Port::B), bits(Port::S));
+    let y = cell.output().bits();
 
     match cell.kind {
         Not => {
-            for i in 0..y.width() {
+            for i in 0..y.len() {
                 if let Some(v) = val(a[i], assign) {
                     put!(y[i], !v);
                 }
@@ -141,7 +140,7 @@ fn infer_cell(
         And | Or => {
             let is_and = cell.kind == And;
             // controlling / identity values, forward and backward
-            for i in 0..y.width() {
+            for i in 0..y.len() {
                 let (va, vb, vy) = (val(a[i], assign), val(b[i], assign), val(y[i], assign));
                 // forward
                 match (is_and, va, vb) {
@@ -183,7 +182,7 @@ fn infer_cell(
         }
         Xor | Xnor => {
             let invert = cell.kind == Xnor;
-            for i in 0..y.width() {
+            for i in 0..y.len() {
                 let (va, vb, vy) = (val(a[i], assign), val(b[i], assign), val(y[i], assign));
                 // any two known pin the third
                 if let (Some(x), Some(z)) = (va, vb) {
@@ -199,7 +198,7 @@ fn infer_cell(
         }
         Mux => {
             let vs = val(s[0], assign);
-            for i in 0..y.width() {
+            for i in 0..y.len() {
                 let (va, vb, vy) = (val(a[i], assign), val(b[i], assign), val(y[i], assign));
                 match vs {
                     Some(true) => {
@@ -243,7 +242,7 @@ fn infer_cell(
         Eq | Ne => {
             let neg = cell.kind == Ne;
             let vy = val(y[0], assign).map(|v| v != neg); // as "equal?"
-            let pairs: Vec<(Option<bool>, Option<bool>)> = (0..a.width())
+            let pairs: Vec<(Option<bool>, Option<bool>)> = (0..a.len())
                 .map(|i| (val(a[i], assign), val(b[i], assign)))
                 .collect();
             // forward: all pairs known ⇒ y; any known mismatch ⇒ y = 0
@@ -258,7 +257,7 @@ fn infer_cell(
             match vy {
                 Some(true) => {
                     // equal: one known side projects onto the other
-                    for i in 0..a.width() {
+                    for i in 0..a.len() {
                         if let Some(v) = pairs[i].0 {
                             put!(b[i], v);
                         }
@@ -268,7 +267,7 @@ fn infer_cell(
                     }
                 }
                 Some(false) => {
-                    if a.width() == 1 {
+                    if a.len() == 1 {
                         if let Some(v) = pairs[0].0 {
                             put!(b[0], !v);
                         }
@@ -277,7 +276,7 @@ fn infer_cell(
                         }
                     } else {
                         // if all but one pair are known-equal, the last differs
-                        let unknown: Vec<usize> = (0..a.width())
+                        let unknown: Vec<usize> = (0..a.len())
                             .filter(|&i| !matches!(pairs[i], (Some(p), Some(q)) if p == q))
                             .collect();
                         if unknown.len() == 1 {
@@ -298,7 +297,7 @@ fn infer_cell(
             // y related to OR/AND over a's bits (LogicNot = NOR)
             let is_and = cell.kind == ReduceAnd;
             let out_invert = cell.kind == LogicNot;
-            let vals: Vec<Option<bool>> = (0..a.width()).map(|i| val(a[i], assign)).collect();
+            let vals: Vec<Option<bool>> = (0..a.len()).map(|i| val(a[i], assign)).collect();
             // vy: y as or/and value
             let vy = val(y[0], assign).map(|v| v != out_invert);
             // forward
@@ -316,21 +315,21 @@ fn infer_cell(
             // backward
             match (is_and, vy) {
                 (true, Some(true)) => {
-                    for i in 0..a.width() {
-                        put!(a[i], true);
+                    for &bit in a {
+                        put!(bit, true);
                     }
                 }
                 (false, Some(false)) => {
-                    for i in 0..a.width() {
-                        put!(a[i], false);
+                    for &bit in a {
+                        put!(bit, false);
                     }
                 }
                 (true, Some(false)) | (false, Some(true)) => {
                     let want = !is_and;
                     let undecided: Vec<usize> =
-                        (0..a.width()).filter(|&i| vals[i].is_none()).collect();
+                        (0..a.len()).filter(|&i| vals[i].is_none()).collect();
                     let rest_blocked =
-                        (0..a.width()).all(|i| vals[i] == Some(!want) || vals[i].is_none());
+                        (0..a.len()).all(|i| vals[i] == Some(!want) || vals[i].is_none());
                     if undecided.len() == 1 && rest_blocked {
                         put!(a[undecided[0]], want);
                     }
@@ -339,10 +338,10 @@ fn infer_cell(
             }
         }
         ReduceXor => {
-            let vals: Vec<Option<bool>> = (0..a.width()).map(|i| val(a[i], assign)).collect();
+            let vals: Vec<Option<bool>> = (0..a.len()).map(|i| val(a[i], assign)).collect();
             let vy = val(y[0], assign);
             let known_parity = vals.iter().filter_map(|v| *v).fold(false, |acc, v| acc ^ v);
-            let unknown: Vec<usize> = (0..a.width()).filter(|&i| vals[i].is_none()).collect();
+            let unknown: Vec<usize> = (0..a.len()).filter(|&i| vals[i].is_none()).collect();
             if unknown.is_empty() {
                 put!(y[0], known_parity);
             } else if unknown.len() == 1 {
@@ -353,8 +352,8 @@ fn infer_cell(
         }
         LogicAnd | LogicOr => {
             let is_and = cell.kind == LogicAnd;
-            let ra = reduce_or_value(&a, index, assign);
-            let rb = reduce_or_value(&b, index, assign);
+            let ra = reduce_or_value(a, index, assign);
+            let rb = reduce_or_value(b, index, assign);
             let vy = val(y[0], assign);
             match (is_and, ra, rb) {
                 (true, Some(false), _) | (true, _, Some(false)) => put!(y[0], false),
@@ -364,7 +363,7 @@ fn infer_cell(
                 _ => {}
             }
             // backward only for 1-bit operands (the common elaborated form)
-            if a.width() == 1 && b.width() == 1 {
+            if a.len() == 1 && b.len() == 1 {
                 match (is_and, vy) {
                     (true, Some(true)) => {
                         put!(a[0], true);
@@ -402,12 +401,12 @@ fn infer_cell(
 }
 
 fn reduce_or_value(
-    spec: &smartly_netlist::SigSpec,
+    spec: &[SigBit],
     index: &NetIndex,
     assign: &HashMap<SigBit, bool>,
 ) -> Option<bool> {
     let mut all_false = true;
-    for b in spec.iter() {
+    for b in spec {
         match value(index, assign, *b) {
             Some(true) => return Some(true),
             Some(false) => {}

@@ -67,6 +67,8 @@ pub use query_engine::{
     FunnelProfile, Layer, QueryEngine, QueryEngineOptions, QueryEngineStats, SharedCexBank,
     SharedVectors, SharedVerdictStore, VerdictMemo,
 };
-pub use restructure::{restructure, RestructureOptions};
-pub use sat_pass::{sat_redundancy, sat_redundancy_with, SatRedundancyOptions, SweepContext};
+pub use restructure::{restructure, restructure_with, AddCache, RestructureOptions};
+pub use sat_pass::{
+    sat_redundancy, sat_redundancy_with, QueryReplays, SatRedundancyOptions, SweepContext,
+};
 pub use smartly_sat::Deadline;

@@ -1,7 +1,7 @@
 //! The optimization pipeline: the four configurations the paper measures.
 
 use crate::query_engine::{SharedCexBank, SharedVerdictStore};
-use crate::restructure::{restructure, RestructureOptions, RestructureStats};
+use crate::restructure::{restructure_with, AddCache, RestructureOptions, RestructureStats};
 use crate::sat_pass::{sat_redundancy_with, SatPassStats, SatRedundancyOptions, SweepContext};
 use smartly_aig::{aig_area, check_equiv, EquivOptions, EquivResult};
 use smartly_netlist::{Module, NetlistError};
@@ -135,10 +135,11 @@ impl std::fmt::Display for PipelineReport {
         )?;
         writeln!(
             f,
-            "query funnel: {} queries (memo {} [carryover {}], disk-verdict {}, shared-cex {}, prefilter {} in {} rounds)",
+            "query funnel: {} queries (memo {} [carryover {}, replay {}], disk-verdict {}, shared-cex {}, prefilter {} in {} rounds)",
             self.sat_stats.queries,
             self.sat_stats.by_memo,
             self.sat_stats.memo_carryover,
+            self.sat_stats.by_replay,
             self.sat_stats.by_disk_verdict,
             self.sat_stats.by_shared_cex,
             self.sat_stats.by_prefilter,
@@ -234,13 +235,16 @@ impl Pipeline {
             report.baseline_rewrites += baseline_optimize(module, &mut settled);
         }
 
-        // cross-round sweep state: the verdict memo persists over the
-        // rounds below, so later rounds replay the verdict of every cone
-        // whose canonical key comes back instead of re-deciding it
+        // cross-round state: the verdict memo and the query replay table
+        // persist over the rounds below, so later rounds replay every
+        // query whose fan-in and path come back instead of asking it
+        // again, and the verdict of every cone whose canonical key comes
+        // back; each distinct rebuild table builds its ADD once
         let mut sweep_ctx =
             SweepContext::new(self.shared_bank.clone(), self.shared_verdicts.clone());
         sweep_ctx.trace = trace.clone();
         sweep_ctx.deadline = deadline.clone();
+        let mut adds = AddCache::new();
 
         for round in 0..self.rounds {
             if deadline.was_tripped() || deadline.expired() {
@@ -250,7 +254,7 @@ impl Pipeline {
             let mut changed = false;
             if matches!(level, OptLevel::RebuildOnly | OptLevel::Full) {
                 let _span = trace.scope("pass:rebuild");
-                let st = restructure(module, &self.rebuild);
+                let st = restructure_with(module, &self.rebuild, &mut adds);
                 changed |= st.rebuilt > 0;
                 report.rebuild_stats.candidates += st.candidates;
                 report.rebuild_stats.rebuilt += st.rebuilt;
@@ -258,6 +262,7 @@ impl Pipeline {
                 report.rebuild_stats.muxes_added += st.muxes_added;
                 report.rebuild_stats.eqs_freed += st.eqs_freed;
                 if st.rebuilt > 0 {
+                    let _span = trace.scope("clean");
                     report.cells_cleaned += clean_pipeline(module);
                     settled = Settled::Clean;
                 }
@@ -270,10 +275,12 @@ impl Pipeline {
                 report.sat_rewrites += st.rewrites;
                 report.sat_stats.absorb(&st);
                 if st.rewrites > 0 {
+                    let _span = trace.scope("clean");
                     report.cells_cleaned += clean_pipeline(module);
                     settled = Settled::Clean;
                 }
                 // pinned selects may expose new baseline opportunities
+                let _span = trace.scope("baseline");
                 report.baseline_rewrites += baseline_optimize(module, &mut settled);
             }
             if !changed {

@@ -318,12 +318,23 @@ pub struct QueryEngineStats {
 /// so a verdict is a pure function of its key: replaying one in a later
 /// round is sound however the netlist changed in between, for the same
 /// reason that replaying it for a bus replica in the same sweep is. Each
-/// entry records the round that decided it, for carryover accounting.
+/// entry records the round that decided it, for carryover accounting,
+/// and whether the conflict budget or the deadline cut it short.
 #[derive(Clone, Debug, Default)]
 pub struct VerdictMemo {
-    /// canonical key → (verdict, round that decided it)
-    entries: HashMap<Vec<u64>, (Decision, u32)>,
+    entries: HashMap<Vec<u64>, MemoEntry>,
     round: u32,
+}
+
+/// One [`VerdictMemo`] entry.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct MemoEntry {
+    pub(crate) decision: Decision,
+    /// The round that decided it.
+    pub(crate) round: u32,
+    /// A SAT call of the decision ran out of conflicts or time: the
+    /// verdict depends on the solver's state, not on the key alone.
+    pub(crate) budget_limited: bool,
 }
 
 impl VerdictMemo {
@@ -349,14 +360,18 @@ impl VerdictMemo {
         self.round += 1;
     }
 
-    fn lookup(&self, key: &[u64]) -> Option<(Decision, bool)> {
-        self.entries
-            .get(key)
-            .map(|&(decision, round)| (decision, round < self.round))
+    fn lookup(&self, key: &[u64]) -> Option<MemoEntry> {
+        self.entries.get(key).copied()
     }
 
-    fn insert(&mut self, key: Vec<u64>, decision: Decision) {
-        self.entries.insert(key, (decision, self.round));
+    fn insert(&mut self, key: Vec<u64>, decision: Decision, budget_limited: bool) -> MemoEntry {
+        let entry = MemoEntry {
+            decision,
+            round: self.round,
+            budget_limited,
+        };
+        self.entries.insert(key, entry);
+        entry
     }
 }
 
@@ -491,38 +506,67 @@ impl<'m> QueryEngine<'m> {
     /// witnesses) → exhaustive simulation or incremental SAT, with the
     /// same sim/SAT/skip routing as [`crate::decide::decide`].
     pub fn decide(&mut self, sub: &SubGraph, assign: &HashMap<SigBit, bool>) -> (Decision, Layer) {
+        let (layer, entry) = self.decide_entry(sub, assign);
+        (entry.decision, layer)
+    }
+
+    /// [`QueryEngine::decide`], returning the memo entry the query hit or
+    /// created in place of the bare verdict.
+    pub(crate) fn decide_entry(
+        &mut self,
+        sub: &SubGraph,
+        assign: &HashMap<SigBit, bool>,
+    ) -> (Layer, MemoEntry) {
         let started = Instant::now();
         self.trace
             .begin_with("query", &[("cells", ArgValue::U64(sub.cells.len() as u64))]);
-        let (d, layer) = self.decide_inner(sub, assign);
+        let (layer, entry) = self.decide_inner(sub, assign);
         self.stats.profile.latency_by_layer[layer.index()]
             .record(started.elapsed().as_micros() as u64);
         self.trace
             .end_with(&[("layer", ArgValue::Str(layer.name()))]);
-        (d, layer)
+        (layer, entry)
+    }
+
+    /// Counts a query the sweep replayed instead of posing: the memo hit
+    /// on `entry` that posing it would have been, with its latency taken
+    /// from `started` and a `query` span of `cells` cells.
+    pub(crate) fn replay_memo_hit(&mut self, entry: MemoEntry, cells: usize, started: Instant) {
+        self.trace
+            .begin_with("query", &[("cells", ArgValue::U64(cells as u64))]);
+        self.stats.queries += 1;
+        self.count_memo_hit(entry);
+        self.stats.profile.latency_by_layer[Layer::Memo.index()]
+            .record(started.elapsed().as_micros() as u64);
+        self.trace
+            .end_with(&[("layer", ArgValue::Str(Layer::Memo.name()))]);
+    }
+
+    fn count_memo_hit(&mut self, entry: MemoEntry) {
+        self.stats.by_memo += 1;
+        if entry.round < self.memo.round {
+            self.stats.memo_carryover += 1;
+        }
     }
 
     fn decide_inner(
         &mut self,
         sub: &SubGraph,
         assign: &HashMap<SigBit, bool>,
-    ) -> (Decision, Layer) {
+    ) -> (Layer, MemoEntry) {
         self.stats.queries += 1;
         // one cone traversal builds the memo key and, on the same pass,
         // the cone shape the shared bank is keyed by
         let (key, shape) = query_key_and_shape(self.module, self.index, sub, assign);
-        if let Some((d, carried)) = self.memo.lookup(&key) {
-            self.stats.by_memo += 1;
-            if carried {
-                self.stats.memo_carryover += 1;
-            }
-            return (d, Layer::Memo);
+        if let Some(entry) = self.memo.lookup(&key) {
+            self.count_memo_hit(entry);
+            return (Layer::Memo, entry);
         }
         let free = free_leaves(sub, assign);
         let choice = choose_engine(free.len(), sub.cells.len(), &self.options.decide);
         if choice == EngineChoice::Skip {
-            self.memo.insert(key, Decision::Skipped);
-            return (Decision::Skipped, Layer::None);
+            let entry = self.memo.insert(key, Decision::Skipped, false);
+            return (Layer::None, entry);
         }
         // layer 2: the design-level verdict store — conclusive verdicts
         // recorded by a previous run (disk generation only, so the hit
@@ -536,8 +580,8 @@ impl<'m> QueryEngine<'m> {
         if let Some(store) = self.verdicts.as_ref() {
             if let Some(d) = store.lookup(&key) {
                 self.stats.by_disk_verdict += 1;
-                self.memo.insert(key, d);
-                return (d, Layer::DesignVerdict);
+                let entry = self.memo.insert(key, d, false);
+                return (Layer::DesignVerdict, entry);
             }
         }
 
@@ -556,8 +600,8 @@ impl<'m> QueryEngine<'m> {
                     seen_false |= f;
                     if seen_true && seen_false {
                         self.stats.by_prefilter += 1;
-                        self.conclude(key, Decision::Unknown);
-                        return (Decision::Unknown, Layer::Prefilter);
+                        let entry = self.conclude(key, Decision::Unknown);
+                        return (Layer::Prefilter, entry);
                     }
                 }
             }
@@ -579,8 +623,8 @@ impl<'m> QueryEngine<'m> {
                     let (t, f) = self.replay_shared(&prog, assign, tslot, &shape, &vectors);
                     if (seen_true || t) && (seen_false || f) {
                         self.stats.by_shared_cex += 1;
-                        self.conclude(key, Decision::Unknown);
-                        return (Decision::Unknown, Layer::SharedCex);
+                        let entry = self.conclude(key, Decision::Unknown);
+                        return (Layer::SharedCex, entry);
                     }
                 }
             }
@@ -609,25 +653,25 @@ impl<'m> QueryEngine<'m> {
             }
             EngineChoice::Skip => unreachable!("handled above"),
         };
-        if conclusive {
-            self.conclude(key, d);
+        let entry = if conclusive {
+            self.conclude(key, d)
         } else {
             // a budget-limited verdict is state-dependent: sound to memo
             // within this run, never published to the design-level store
-            self.memo.insert(key, d);
-        }
-        (d, layer)
+            self.memo.insert(key, d, true)
+        };
+        (layer, entry)
     }
 
     /// Records a conclusive verdict — a pure function of its canonical
     /// key — in the local memo and, when a design-level store is
     /// attached, publishes it for cross-run persistence.
-    fn conclude(&mut self, key: Vec<u64>, d: Decision) {
+    fn conclude(&mut self, key: Vec<u64>, d: Decision) -> MemoEntry {
         if let Some(store) = &self.verdicts {
             self.stats.verdicts_published += 1;
             store.publish(&key, d);
         }
-        self.memo.insert(key, d);
+        self.memo.insert(key, d, false)
     }
 
     /// Loads leaf planes (path-condition bits pinned, free bits from

@@ -15,6 +15,12 @@
 //!    mux-count delta weighted by data width, rebuilt height — and
 //! 5. re-emits one mux per ADD node, selected by *raw control bits*, so
 //!    the `eq` cells disconnect and die in `opt_clean` (paper Fig. 7).
+//!
+//! [`Add::build_greedy`] is a pure function of its table, and a tree that
+//! `Check(...)` refused comes back unchanged in the next round, so
+//! [`restructure_with`] takes an [`AddCache`] that the pipeline keeps for
+//! the module's whole run: each distinct table is built once. Every tree
+//! is still collected and its table filled each round.
 
 use smartly_add::{Add, AddRef, FunctionTable};
 use smartly_netlist::{
@@ -22,6 +28,10 @@ use smartly_netlist::{
 };
 use smartly_opt::{muxtree_roots, slot_child};
 use std::collections::{HashMap, HashSet};
+
+/// The ADD built for each function table so far (see the
+/// [module docs](self)).
+pub type AddCache = HashMap<FunctionTable, Add>;
 
 /// Minimum estimated AIG-area saving required to rebuild.
 const MIN_SAVING: i64 = 1;
@@ -101,6 +111,16 @@ struct Collected {
 /// snapshot does not show. Later trees keep that conservative view: a
 /// removed mux still counts as a reader, and an added one does not.
 pub fn restructure(module: &mut Module, options: &RestructureOptions) -> RestructureStats {
+    restructure_with(module, options, &mut AddCache::new())
+}
+
+/// [`restructure`] that takes each tree's ADD from `adds`, building and
+/// adding the ones it lacks.
+pub fn restructure_with(
+    module: &mut Module,
+    options: &RestructureOptions,
+    adds: &mut AddCache,
+) -> RestructureStats {
     let mut stats = RestructureStats::default();
     let index = NetIndex::build(module);
     let readers = ReaderCounts::build(module, &index);
@@ -149,7 +169,7 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
             &mut table,
             &all_indices(width_bits),
         );
-        let add = Add::build_greedy(&table);
+        let add = adds.entry(table).or_insert_with_key(Add::build_greedy);
 
         // ----- Check(...) -----
         let old_muxes = collected.old_mux_units;
@@ -196,7 +216,7 @@ pub fn restructure(module: &mut Module, options: &RestructureOptions) -> Restruc
         }
 
         // ----- Rebuild -----
-        let new_out = emit(module, &add, &collected.universe, &leaves);
+        let new_out = emit(module, add, &collected.universe, &leaves);
         let root_out = module.cell(root).expect("live root").output().clone();
         for &id in &collected.mux_cells {
             module.remove_cell(id);

@@ -9,18 +9,47 @@
 //! simulation or SAT per query) — whether the path condition forces its
 //! value. Decided selects are pinned to constants;
 //! [`smartly_opt::clean_pipeline`] then collapses the dead branches.
+//!
+//! # Query replay
+//!
+//! Later rounds ask most queries again: a round's pins and rebuilds
+//! touch a few cones, and every other select comes back with the same
+//! cone and the same path. Each sweep first hashes every bit's
+//! combinational fan-in, over the topological order it takes anyway: a
+//! cell's hash covers its cell id, kind, port order, input hashes and
+//! output width, and an undriven bit or flip-flop output hashes its bit
+//! id. A query's key is its select's hash plus the sorted (hash, value)
+//! pairs of its path condition. Equal keys mean the same cells wired the
+//! same way around the select and every path bit, so extraction, Table I
+//! inference and the canonical memo key would all come out as before.
+//!
+//! [`SweepContext::replays`] keeps, across the module's rounds, every
+//! query that ended with no pin and no budget-limited verdict (a
+//! budget-limited SAT call, or a memo hit on one). A later query with an
+//! equal key replays it: it adds the recorded `queries` and pruning gate
+//! counts, and, if the query reached the funnel, counts and records the
+//! memo hit that asking again would have been. It skips extraction,
+//! inference, keying and the funnel, and it never pins. Its sub-graph's
+//! cells must still be in topological order, because the memo key lists
+//! them in that order, and a change elsewhere in the module can reorder
+//! them. A collision of the 64-bit keys could only forgo a rewrite.
+//! Under the ablation-only `measure_gather`, gate counts read cell
+//! readers the key does not cover, so every query is re-derived; so is
+//! every SAT verdict of the legacy `incremental: false` path.
 
 use crate::decide::{decide, DecideOptions, Decision, Engine};
 use crate::inference::{propagate, InferOutcome};
 use crate::query_engine::{
-    FunnelProfile, Layer, QueryEngine, QueryEngineOptions, SharedCexBank, SharedVerdictStore,
-    VerdictMemo,
+    FunnelProfile, Layer, MemoEntry, QueryEngine, QueryEngineOptions, SharedCexBank,
+    SharedVerdictStore, VerdictMemo,
 };
 use crate::subgraph::{extract_cached, topo_ranks, ConeCache, SubgraphStats};
-use smartly_netlist::{Module, NetIndex, ReaderCounts};
-use smartly_opt::{apply_pins, walk_muxtrees};
+use smartly_netlist::{CellId, Module, NetIndex, ReaderCounts, SigBit};
+use smartly_opt::{apply_pins, walk_muxtrees, PathCondition};
 use smartly_sat::Deadline;
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Sub-graph distance bound `k` (paper §II).
 const K: usize = 6;
@@ -81,18 +110,25 @@ impl Default for SatRedundancyOptions {
 }
 
 /// State a [`sat_redundancy_with`] sweep inherits from earlier sweeps of
-/// the *same module*: the verdict memo (cross-round carryover) plus the
-/// optional design-level shared counterexample bank and verdict store.
+/// the *same module*: the verdict memo (cross-round carryover), the
+/// replay table, plus the optional design-level shared counterexample
+/// bank and verdict store.
 ///
 /// [`crate::Pipeline`] keeps one context per module across its rounds and
 /// calls [`SweepContext::begin_round`] before each sweep, so carryover
-/// accounting starts a new round. The memo needs no invalidation between
-/// rounds: its keys are canonical, so a cone that a rebuild, clean or
-/// pinning pass changed keys differently and simply misses.
+/// accounting starts a new round. Neither table needs invalidation
+/// between rounds: memo keys are canonical and replay keys hash the
+/// fan-in, so a cone that a rebuild, clean or pinning pass changed keys
+/// differently and simply misses.
 #[derive(Clone, Debug, Default)]
 pub struct SweepContext {
     /// The persistent cone-verdict memo.
     pub memo: VerdictMemo,
+    /// Queries a later sweep replays instead of asking (see the
+    /// [module docs](self)). A replay stands for a hit on `memo` under
+    /// the options that recorded it, so a caller that replaces `memo`
+    /// or changes the sweep options clears this too.
+    pub replays: QueryReplays,
     /// The design-level shared bank, if the caller participates in one.
     pub shared: Option<Arc<dyn SharedCexBank>>,
     /// The design-level verdict store, if the caller participates in one
@@ -118,6 +154,7 @@ impl SweepContext {
     ) -> Self {
         SweepContext {
             memo: VerdictMemo::new(),
+            replays: QueryReplays::default(),
             shared,
             verdicts,
             trace: smartly_telemetry::TraceHandle::disabled(),
@@ -153,6 +190,10 @@ pub struct SatPassStats {
     /// Memo answers from entries carried over from an earlier pipeline
     /// round (a subset of `by_memo`).
     pub memo_carryover: usize,
+    /// Queries replayed from [`SweepContext::replays`] without being
+    /// asked (timing-only attribution). A replay that stands for a memo
+    /// hit also counts under `by_memo`.
+    pub by_replay: usize,
     /// Queries answered by a disk-loaded entry of the design-level
     /// verdict store (engine mode with a warm-started store attached).
     pub by_disk_verdict: usize,
@@ -234,6 +275,7 @@ impl SatPassStats {
         self.by_sat += o.by_sat;
         self.by_memo += o.by_memo;
         self.memo_carryover += o.memo_carryover;
+        self.by_replay += o.by_replay;
         self.by_disk_verdict += o.by_disk_verdict;
         self.verdicts_published += o.verdicts_published;
         self.by_shared_cex += o.by_shared_cex;
@@ -269,7 +311,9 @@ pub fn sat_redundancy(module: &mut Module, options: &SatRedundancyOptions) -> Sa
 
 /// [`sat_redundancy`] with a persistent [`SweepContext`]: the engine is
 /// seeded with the context's verdict memo and shared bank, and the memo
-/// (grown by this sweep) is handed back through the context.
+/// (grown by this sweep) is handed back through the context. Queries the
+/// context's replay table holds are replayed, and the sweep's own
+/// replayable queries join it (see the [module docs](self)).
 ///
 /// Call [`SweepContext::begin_round`] between sweeps so that
 /// `memo_carryover` counts the hits on entries from earlier sweeps.
@@ -284,6 +328,14 @@ pub fn sat_redundancy_with(
         Err(_) => return SatPassStats::default(),
     };
     let ranks = topo_ranks(&topo);
+    // `measure_gather` counts cell readers, which no key covers
+    let replayable = !options.measure_gather;
+    let hashes = if replayable {
+        let _span = ctx.trace.scope("fanin_hash");
+        fanin_hashes(module, &index, &topo)
+    } else {
+        Vec::new()
+    };
 
     let mut stats = SatPassStats::default();
     let mut cone_cache = ConeCache::new();
@@ -312,14 +364,30 @@ pub fn sat_redundancy_with(
         eng
     });
 
+    let replays = &mut ctx.replays.entries;
+    let mut pairs = Vec::new();
     let readers = ReaderCounts::build(module, &index);
-    // decide a select bit the path condition leaves open: extraction,
-    // Table I inference, then the funnel (or a fresh decide per query)
+    // decide a select bit the path condition leaves open: replay, or
+    // extraction, Table I inference, then the funnel (or a fresh decide
+    // per query)
     let pins = walk_muxtrees(module, &index, &readers, |sel, known| {
         if stats.queries >= MAX_QUERIES {
             return None;
         }
+        let started = Instant::now();
         stats.queries += 1;
+        let key = replayable.then(|| query_key(&index, &hashes, sel, known, &mut pairs));
+        if let Some(replay) = key
+            .and_then(|k| replays.get(&k))
+            .filter(|r| r.still_ordered(&ranks))
+        {
+            stats.by_replay += 1;
+            stats.absorb_subgraph(replay.gates);
+            if let (Some(e), Some((entry, cells))) = (&mut engine, &replay.funnel) {
+                e.replay_memo_hit(*entry, cells.len(), started);
+            }
+            return None;
+        }
         let (sub, sg_stats) = extract_cached(
             module,
             &index,
@@ -332,7 +400,20 @@ pub fn sat_redundancy_with(
             &mut cone_cache,
         );
         stats.absorb_subgraph(sg_stats);
+        // what a later ask replays, when this one ends with no pin
+        let mut keep = |funnel| {
+            if let Some(k) = key {
+                replays.insert(
+                    k,
+                    Replay {
+                        gates: sg_stats,
+                        funnel,
+                    },
+                );
+            }
+        };
         if sub.cells.len() > MAX_SUBGRAPH_CELLS {
+            keep(None);
             return None; // too large: forgo the query (paper threshold)
         }
         let mut assign = known.clone();
@@ -351,15 +432,25 @@ pub fn sat_redundancy_with(
         }
         let (d, engine_used) = match &mut engine {
             Some(e) => {
-                let (d, layer) = e.decide(&sub, &assign);
+                let (layer, entry) = e.decide_entry(&sub, &assign);
+                if !entry.budget_limited && no_pin(entry.decision) {
+                    keep(Some((entry, sub.cells.into_boxed_slice())));
+                }
                 let used = match layer {
                     Layer::Simulation => Engine::Simulation,
                     Layer::Sat => Engine::Sat,
                     _ => Engine::None,
                 };
+                (entry.decision, used)
+            }
+            None => {
+                let (d, used) = decide(module, &index, &sub, &assign, &decide_opts);
+                // a legacy SAT verdict carries no budget flag
+                if used != Engine::Sat && no_pin(d) {
+                    keep(None);
+                }
                 (d, used)
             }
-            None => decide(module, &index, &sub, &assign, &decide_opts),
         };
         match d {
             Decision::Const(v) => {
@@ -405,6 +496,105 @@ pub fn sat_redundancy_with(
     }
     apply_pins(module, &pins);
     stats
+}
+
+fn no_pin(d: Decision) -> bool {
+    matches!(d, Decision::Unknown | Decision::Skipped)
+}
+
+/// The queries a module's later sweeps replay, by query key (see the
+/// [module docs](self)).
+#[derive(Clone, Debug, Default)]
+pub struct QueryReplays {
+    entries: HashMap<u64, Replay>,
+}
+
+impl QueryReplays {
+    /// Forgets every recorded query.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// What one query added to the sweep's counters.
+#[derive(Clone, Debug)]
+struct Replay {
+    gates: SubgraphStats,
+    /// For a query that reached the engine: the memo entry it hit or
+    /// made, and its sub-graph's cells in topological order.
+    funnel: Option<(MemoEntry, Box<[CellId]>)>,
+}
+
+impl Replay {
+    /// Whether this sweep's order lists the sub-graph's cells as the
+    /// recording sweep's did, so the memo key would be the same.
+    fn still_ordered(&self, ranks: &[u32]) -> bool {
+        self.funnel.as_ref().is_none_or(|(_, cells)| {
+            cells
+                .windows(2)
+                .all(|w| ranks[w[0].index()] < ranks[w[1].index()])
+        })
+    }
+}
+
+/// One step of the fan-in and query hashes (a SplitMix64 finalizer over
+/// the rotated state and the next word).
+fn mix(h: u64, word: u64) -> u64 {
+    let mut z = (h.rotate_left(23) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Each canonical bit's fan-in hash, by [`NetIndex::bit_id`]. A bit with
+/// no combinational driver hashes its bit id; a combinational cell's
+/// output bit hashes the cell (id, kind, each input port and the hashes
+/// of its bits, output width) and its offset. `topo` lists drivers
+/// before readers, so one pass suffices.
+fn fanin_hashes(module: &Module, index: &NetIndex, topo: &[CellId]) -> Vec<u64> {
+    let mut hashes: Vec<u64> = (0..index.bit_count() as u64).map(|i| mix(0, i)).collect();
+    for &id in topo {
+        let cell = module.cell(id).expect("live cell");
+        if cell.kind.is_sequential() {
+            continue;
+        }
+        let mut h = mix(mix(1, id.index() as u64), cell.kind as u64);
+        for (port, spec) in cell.inputs() {
+            h = mix(h, u64::MAX - port as u64);
+            for bit in spec.iter() {
+                h = mix(h, index.bit_id(index.canon(*bit)).map_or(0, |i| hashes[i]));
+            }
+        }
+        h = mix(h, cell.output().width() as u64);
+        for (offset, bit) in cell.output().iter().enumerate() {
+            let bit = index.canon(*bit);
+            let driven_here = index
+                .driver(bit)
+                .is_some_and(|d| d.cell == id && d.offset as usize == offset);
+            if let (true, Some(i)) = (driven_here, index.bit_id(bit)) {
+                hashes[i] = mix(h, offset as u64);
+            }
+        }
+    }
+    hashes
+}
+
+/// A query's replay key: the select's fan-in hash, then the path
+/// condition's (hash, value) pairs in sorted order. `pairs` is scratch.
+fn query_key(
+    index: &NetIndex,
+    hashes: &[u64],
+    sel: SigBit,
+    path: &PathCondition,
+    pairs: &mut Vec<(u64, bool)>,
+) -> u64 {
+    let hash = |bit: SigBit| index.bit_id(bit).map_or(0, |i| hashes[i]);
+    pairs.clear();
+    pairs.extend(path.iter().map(|(&bit, &value)| (hash(bit), value)));
+    pairs.sort_unstable();
+    pairs.iter().fold(mix(2, hash(sel)), |h, &(bit, value)| {
+        mix(mix(h, bit), u64::from(value))
+    })
 }
 
 #[cfg(test)]
@@ -541,6 +731,147 @@ mod tests {
         let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
         assert!(stats.gates_after_prune <= stats.gates_before_prune);
         assert!(stats.queries >= 1);
+    }
+
+    /// A second sweep over a module the first one left unchanged replays
+    /// every query, and repeats the first sweep's counters as the memo
+    /// hits asking again would have been.
+    #[test]
+    fn an_unchanged_module_replays_every_query() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 4);
+        let b = m.add_input("b", 4);
+        let c = m.add_input("c", 4);
+        let s = m.add_input("s", 1);
+        let t = m.add_input("t", 1);
+        let st = m.and(&s, &t);
+        let inner = m.mux(&b, &a, &st);
+        let outer = m.mux(&c, &inner, &s);
+        m.add_output("y", &outer);
+        let opts = SatRedundancyOptions::default();
+        let mut ctx = SweepContext::new(None, None);
+        let first = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!((first.queries, first.rewrites, first.by_replay), (2, 0, 0));
+        ctx.begin_round(&m);
+        let second = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!(second.queries, 2);
+        assert_eq!(second.by_replay, 2);
+        assert_eq!((second.by_memo, second.memo_carryover), (2, 2));
+        assert_eq!(
+            second.profile.latency_by_layer[Layer::Memo.index()].count(),
+            2
+        );
+        assert_eq!(
+            (second.gates_before_prune, second.gates_after_prune),
+            (first.gates_before_prune, first.gates_after_prune)
+        );
+    }
+
+    /// The same select under the same path bits with other values is
+    /// another query: `t = s & r` is free where `s = 1` and 0 where
+    /// `s = 0`, so the second ask, in the same sweep, must not replay the
+    /// first.
+    #[test]
+    fn path_values_are_part_of_the_key() {
+        let mut m = Module::new("t");
+        let p: Vec<SigSpec> = (0..4).map(|i| m.add_input(&format!("p{i}"), 4)).collect();
+        let s = m.add_input("s", 1);
+        let r = m.add_input("r", 1);
+        let t = m.and(&s, &r);
+        let low = m.mux(&p[1], &p[0], &t); // reached when s = 0
+        let high = m.mux(&p[3], &p[2], &t); // reached when s = 1
+        let y = m.mux(&low, &high, &s);
+        m.add_output("y", &y);
+        let stats = sat_redundancy(&mut m, &SatRedundancyOptions::default());
+        assert_eq!((stats.queries, stats.by_replay), (3, 0));
+        assert_eq!(stats.rewrites, 1, "t = 0 where s = 0");
+    }
+
+    /// A memo key lists the sub-graph's cells in topological order, and
+    /// removing a cell outside the cone can reorder them: the query is
+    /// then re-derived, as the memo key changed. `w` reads `y` and has
+    /// the lowest id, so the order starts at `y` until `w` is removed.
+    #[test]
+    fn a_reordered_cone_is_re_derived() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 1);
+        let b = m.add_input("b", 1);
+        let c = m.add_input("c", 1);
+        let d = m.add_input("d", 4);
+        let e = m.add_input("e", 4);
+        let y_wire = SigSpec::from_wire(m.auto_wire(1), 1);
+        let w = m.not(&y_wire);
+        m.add_output("w", &w);
+        let x = m.and(&a, &b);
+        let y = m.or(&a, &c);
+        m.connect(y_wire, y.clone());
+        let t = m.xor(&x, &y);
+        let out = m.mux(&d, &e, &t);
+        m.add_output("out", &out);
+        let opts = SatRedundancyOptions::default();
+        let mut ctx = SweepContext::new(None, None);
+        let first = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!((first.queries, first.by_memo, first.rewrites), (1, 0, 0));
+        let w_cell = m.cells().next().map(|(id, _)| id).expect("w");
+        m.remove_cell(w_cell);
+        ctx.begin_round(&m);
+        let second = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!(second.queries, 1);
+        assert_eq!((second.by_replay, second.by_memo), (0, 0));
+    }
+
+    /// A budget-limited `Unknown` depends on the solver's state, so the
+    /// next sweep asks it again: it reaches the funnel (a memo hit) and is
+    /// never replayed.
+    #[test]
+    fn budget_limited_unknowns_reach_the_funnel_again() {
+        let mut m = smartly_workloads::solver_stress(3, 8).remove(0);
+        let opts = SatRedundancyOptions {
+            conflict_budget: 1,
+            ..Default::default()
+        };
+        let mut ctx = SweepContext::new(None, None);
+        let first = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        let sat_layer = first.profile.latency_by_layer[Layer::Sat.index()].count();
+        assert_eq!((first.queries, sat_layer, first.rewrites), (3, 3, 0));
+        ctx.begin_round(&m);
+        let second = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!(second.queries, 3);
+        assert_eq!(
+            second.by_replay, 0,
+            "budget-limited verdicts are not replayed"
+        );
+        assert_eq!((second.by_memo, second.memo_carryover), (3, 3));
+    }
+
+    /// A query whose cone changes only because `opt_merge` folded a
+    /// duplicate cell is re-derived. Before the fold, the inner select
+    /// reads a second copy of the outer select's product: a free leaf.
+    /// After it, the inner select is the negated outer select, which the
+    /// path decides.
+    #[test]
+    fn a_merged_duplicate_is_re_derived() {
+        let mut m = Module::new("t");
+        let a = m.add_input("a", 2);
+        let b = m.add_input("b", 2);
+        let c = m.add_input("c", 4);
+        let d = m.add_input("d", 4);
+        let e = m.add_input("e", 4);
+        let p = m.mul(&a, &b);
+        let dup = m.mul(&a, &b);
+        let q = m.not(&dup.slice(0, 1));
+        let inner = m.mux(&d, &c, &q); // q ? c : d
+        let outer = m.mux(&e, &inner, &p.slice(0, 1)); // p0 ? inner : e
+        m.add_output("y", &outer);
+        let opts = SatRedundancyOptions::default();
+        let mut ctx = SweepContext::new(None, None);
+        let first = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!((first.queries, first.rewrites), (2, 0));
+        assert_eq!(smartly_opt::opt_merge(&mut m), 1, "the copies merge");
+        ctx.begin_round(&m);
+        let second = sat_redundancy_with(&mut m, &opts, &mut ctx);
+        assert_eq!(second.by_inference, 1, "p0 = 1 forces q = 0");
+        assert_eq!(second.rewrites, 1);
     }
 
     /// eq-driven selects: casez-style chain where an earlier arm's

@@ -552,8 +552,9 @@ impl CorpusReport {
         )?;
         write!(
             f,
-            "memo carryover {}, solver: {} conflicts / {} propagations / {} learnts / {} resets",
+            "memo carryover {}, replay {}, solver: {} conflicts / {} propagations / {} learnts / {} resets",
             t.memo_carryover,
+            t.by_replay,
             t.solver_conflicts,
             t.solver_propagations,
             t.solver_learnts,

@@ -451,6 +451,7 @@ pub(crate) fn funnel_counters(s: &SatPassStats) -> Counters {
     let mut c = Counters::new();
     c.add("by_memo", s.by_memo as u64)
         .add("memo_carryover", s.memo_carryover as u64)
+        .add("by_replay", s.by_replay as u64)
         .add("by_disk_verdict", s.by_disk_verdict as u64)
         .add("verdicts_published", s.verdicts_published as u64)
         .add("by_shared_cex", s.by_shared_cex as u64)

@@ -142,6 +142,7 @@ fn module_timing_json_schema_snapshot() {
         [
             "by_memo",
             "memo_carryover",
+            "by_replay",
             "by_disk_verdict",
             "verdicts_published",
             "by_shared_cex",
@@ -284,6 +285,7 @@ fn corpus_bench_json_schema_snapshot() {
             "unreachable",
             "by_memo",
             "memo_carryover",
+            "by_replay",
             "by_disk_verdict",
             "verdicts_published",
             "by_shared_cex",

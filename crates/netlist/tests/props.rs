@@ -1,5 +1,6 @@
-//! Randomized tests for the IR: `SigSpec` algebra, `eval_cell` laws, and
-//! the dense connectivity index against a hash-map oracle.
+//! Randomized tests for the IR: `SigSpec` algebra, `eval_cell` laws, the
+//! dense connectivity index against a hash-map oracle, and the mux-tree
+//! walk over it.
 //!
 //! Formerly written with `proptest`; the offline build environment cannot
 //! fetch it, so each property now runs as a seeded loop over the vendored
@@ -8,10 +9,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartly_netlist::{
-    eval_cell, CellId, CellInputs, CellKind, Driver, Module, NetIndex, PortDir, ReaderCounts,
+    eval_cell, CellId, CellInputs, CellKind, Driver, Module, NetIndex, Port, PortDir, ReaderCounts,
     SigBit, SigSpec, TriVal,
 };
+use smartly_opt::{muxtree_roots, slot_child, walk_muxtrees, PathCondition, Pin};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 const CASES: usize = 64;
 
@@ -540,4 +544,180 @@ fn cyclic_connection_chain_panics() {
     let y = m.and(&a, &w1);
     m.add_output("y", &y);
     NetIndex::build(&m);
+}
+
+/// The clone-per-child walk `walk_muxtrees` replaced: every pending node
+/// holds its own copy of the path condition. Returns the pins, and each
+/// `resolve` call's select and path in call order.
+#[allow(clippy::type_complexity)]
+fn cloning_walk(
+    m: &Module,
+    index: &NetIndex,
+    readers: &ReaderCounts,
+    resolve: impl Fn(SigBit, &PathCondition) -> Option<bool>,
+) -> (Vec<Pin>, Vec<(SigBit, Vec<(SigBit, bool)>)>) {
+    let is_mux = |kind| matches!(kind, CellKind::Mux | CellKind::Pmux);
+    let mut pins = Vec::new();
+    let mut calls = Vec::new();
+    let mut stack: Vec<(CellId, PathCondition)> = muxtree_roots(m, index, readers, is_mux)
+        .into_iter()
+        .map(|root| (root, PathCondition::new()))
+        .collect();
+    while let Some((id, path)) = stack.pop() {
+        let cell = m.cell(id).expect("live mux");
+        let port = |p: Port| cell.port(p).expect("mux port").bits();
+        for p in [Port::A, Port::B] {
+            for (offset, bit) in port(p).iter().enumerate() {
+                if let Some(&value) = path.get(&index.canon(*bit)) {
+                    pins.push(Pin {
+                        cell: id,
+                        port: p,
+                        offset,
+                        value,
+                    });
+                }
+            }
+        }
+        let mut sels = Vec::new();
+        for (offset, bit) in port(Port::S).iter().enumerate() {
+            let sel = index.canon(*bit);
+            let value = match sel {
+                SigBit::Const(v) => v.to_bool(),
+                SigBit::Wire(..) => {
+                    let value = path.get(&sel).copied().or_else(|| {
+                        calls.push((sel, sorted_path(&path)));
+                        resolve(sel, &path)
+                    });
+                    if let Some(value) = value {
+                        pins.push(Pin {
+                            cell: id,
+                            port: Port::S,
+                            offset,
+                            value,
+                        });
+                    }
+                    value
+                }
+            };
+            sels.push((sel, value));
+        }
+        let width = cell.output().width().max(1);
+        let slots: Vec<&[SigBit]> = std::iter::once(port(Port::A))
+            .chain(port(Port::B).chunks(width))
+            .collect();
+        match (cell.kind, sels.as_slice()) {
+            (CellKind::Mux, &[(_, Some(live))]) => {
+                let slot = port(if live { Port::B } else { Port::A });
+                if let Some(child) = slot_child(m, index, readers, slot) {
+                    stack.push((child, path));
+                }
+            }
+            _ => {
+                for (j, slot) in slots.into_iter().enumerate() {
+                    let Some(child) = slot_child(m, index, readers, slot) else {
+                        continue;
+                    };
+                    let fixed = if j == 0 { sels.len() } else { j };
+                    let mut child_path = path.clone();
+                    for (i, &(sel, _)) in sels[..fixed].iter().enumerate() {
+                        if !sel.is_const() {
+                            child_path.insert(sel, i + 1 == j);
+                        }
+                    }
+                    stack.push((child, child_path));
+                }
+            }
+        }
+    }
+    (pins, calls)
+}
+
+fn sorted_path(path: &PathCondition) -> Vec<(SigBit, bool)> {
+    let mut pairs: Vec<(SigBit, bool)> = path.iter().map(|(&b, &v)| (b, v)).collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// Adds up to three output mux trees to `m`, up to four levels deep, of
+/// `mux` and `pmux` nodes whose selects come from a few of the module's
+/// bits (so paths repeat and decide selects) and whose leaves are module
+/// bits (select bits among them, for data-port pins).
+fn graft_mux_trees(rng: &mut StdRng, m: &mut Module) {
+    fn tree(
+        rng: &mut StdRng,
+        m: &mut Module,
+        sels: &[SigBit],
+        pool: &[SigBit],
+        w: u32,
+        depth: u32,
+    ) -> SigSpec {
+        let pick = |rng: &mut StdRng, from: &[SigBit]| from[rng.gen_range(0..from.len())];
+        if depth == 0 || rng.gen_bool(0.25) {
+            return (0..w)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => pick(rng, sels),
+                    _ => pick(rng, pool),
+                })
+                .collect();
+        }
+        if rng.gen_bool(0.7) {
+            let a = tree(rng, m, sels, pool, w, depth - 1);
+            let b = tree(rng, m, sels, pool, w, depth - 1);
+            let s = SigSpec::from_bit(pick(rng, sels));
+            m.mux(&a, &b, &s)
+        } else {
+            let n = rng.gen_range(1..=3);
+            let default = tree(rng, m, sels, pool, w, depth - 1);
+            let words: Vec<SigSpec> = (0..n)
+                .map(|_| tree(rng, m, sels, pool, w, depth - 1))
+                .collect();
+            let s: SigSpec = (0..n).map(|_| pick(rng, sels)).collect();
+            m.pmux(&default, &words, &s)
+        }
+    }
+    let mut pool = all_bits(m);
+    pool.pop(); // the bit outside the module
+    let sels: Vec<SigBit> = (0..rng.gen_range(2..=4))
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect();
+    for t in 0..rng.gen_range(1..=3) {
+        let w = rng.gen_range(1..=2);
+        let root = tree(rng, m, &sels, &pool, w, 4);
+        m.add_output(&format!("t{t}"), &root);
+    }
+}
+
+/// `walk_muxtrees` edits one path condition and restores it from a trail;
+/// on random modules it must find the pins of a walk that clones the path
+/// for every child, and make the same `resolve` calls in the same order
+/// with the same paths. The resolver answers some calls from a hash of
+/// the select and path, so decided selects steer both walks alike.
+#[test]
+fn the_trail_walk_matches_a_cloning_walk() {
+    let answer = |sel: SigBit, path: &PathCondition| {
+        let mut h = DefaultHasher::new();
+        (sel, sorted_path(path)).hash(&mut h);
+        match h.finish() % 3 {
+            0 => None,
+            k => Some(k == 1),
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(0x6e65_746c_6973_740c);
+    let mut nested = 0;
+    for case in 0..CASES * 4 {
+        let mut m = random_module(&mut rng);
+        graft_mux_trees(&mut rng, &mut m);
+        let index = NetIndex::build(&m);
+        let readers = ReaderCounts::build(&m, &index);
+        let mut calls = Vec::new();
+        let pins = walk_muxtrees(&m, &index, &readers, |sel, path| {
+            calls.push((sel, sorted_path(path)));
+            answer(sel, path)
+        });
+        let (want_pins, want_calls) = cloning_walk(&m, &index, &readers, answer);
+        assert_eq!(pins, want_pins, "case {case}: pins");
+        assert_eq!(calls, want_calls, "case {case}: resolve calls");
+        nested += calls.iter().filter(|(_, path)| !path.is_empty()).count();
+    }
+    assert!(nested > CASES, "too few resolve calls had a path condition");
 }

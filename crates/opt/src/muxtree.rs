@@ -16,6 +16,15 @@
 //! root of its own: a mux read by two slots sees two path conditions, so
 //! no path-specific rewrite is sound inside it.
 //!
+//! The visit order is a contract: roots in cell order, popped last-first,
+//! a `mux`'s A child pushed before its B child and a `pmux`'s default
+//! before its words, so the resolver is asked in the same order on every
+//! run. The walk keeps one path condition for the whole traversal: a
+//! child applies its slot's select values on the way down, and a trail
+//! of the replaced values restores the parent's path when the next
+//! sibling is popped. Every node sees the path a copy per child would
+//! hold.
+//!
 //! [`opt_muxtree`] walks with a resolver that never answers, which is
 //! Yosys's identical-ancestor rule. The actual collapse (select =
 //! constant ⇒ pass-through) is left to [`crate::opt_const`], mirroring how
@@ -24,7 +33,7 @@
 use smartly_netlist::{
     Cell, CellId, CellKind, Module, NetIndex, Port, ReaderCounts, SigBit, TriVal,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The select bits (canonical) fixed on the path from a tree root down to
 /// a node, each with the value it takes there.
@@ -73,6 +82,14 @@ pub(crate) fn sweep(module: &mut Module, index: &NetIndex) -> usize {
 /// The visit order is fixed: roots in cell order, popped last-first; a
 /// `mux` pushes its A child before its B child, and a `pmux` its default
 /// child, then words 0 to n−1. `resolve` is called in that order.
+///
+/// One [`PathCondition`] serves the whole walk. A pending child records
+/// the select values its slot fixes and the trail length of its parent's
+/// path; when it is popped, the walk undoes every insert above that mark
+/// (the trail keeps each insert's bit and the value it replaced) and then
+/// applies the child's fixes. So `resolve` sees exactly the path a copy
+/// per child would hold, and no map is cloned. A mirror of the path by
+/// [`NetIndex::bit_id`] answers the per-bit tests.
 pub fn walk_muxtrees(
     module: &Module,
     index: &NetIndex,
@@ -80,19 +97,39 @@ pub fn walk_muxtrees(
     mut resolve: impl FnMut(SigBit, &PathCondition) -> Option<bool>,
 ) -> Vec<Pin> {
     let mut pins = Vec::new();
-    let mut stack: Vec<(CellId, PathCondition)> =
-        muxtree_roots(module, index, readers, is_mux_like)
-            .into_iter()
-            .map(|root| (root, PathCondition::new()))
-            .collect();
-    while let Some((id, path)) = stack.pop() {
+    let mut path = Path {
+        map: PathCondition::new(),
+        by_id: vec![None; index.bit_count()],
+        trail: Vec::new(),
+    };
+    // the select values each pending child's slot fixes, in push order;
+    // a frame's range is always on top when the frame is popped
+    let mut fixes: Vec<(SigBit, bool)> = Vec::new();
+    let mut stack: Vec<Frame> = muxtree_roots(module, index, readers, is_mux_like)
+        .into_iter()
+        .map(|cell| Frame {
+            cell,
+            mark: 0,
+            fixes: 0..0,
+        })
+        .collect();
+    let mut sels: Vec<(SigBit, Option<bool>)> = Vec::new();
+    while let Some(frame) = stack.pop() {
+        path.undo_to(frame.mark);
+        for &(bit, value) in &fixes[frame.fixes.clone()] {
+            path.insert(index, bit, value);
+        }
+        fixes.truncate(frame.fixes.start);
+        let mark = path.trail.len();
+
+        let id = frame.cell;
         let cell = module.cell(id).expect("live mux");
         let port = |p: Port| cell.port(p).expect("mux port").bits();
 
         // data-port bits the path decides (paper Fig. 2)
         for p in [Port::A, Port::B] {
             for (offset, bit) in port(p).iter().enumerate() {
-                if let Some(&value) = path.get(&index.canon(*bit)) {
+                if let Some(value) = path.get(index, index.canon(*bit)) {
                     pins.push(Pin {
                         cell: id,
                         port: p,
@@ -104,13 +141,13 @@ pub fn walk_muxtrees(
         }
 
         // each select bit is a constant, decided by the path, or resolved
-        let mut sels = Vec::with_capacity(port(Port::S).len());
+        sels.clear();
         for (offset, bit) in port(Port::S).iter().enumerate() {
             let sel = index.canon(*bit);
             let value = match sel {
                 SigBit::Const(v) => v.to_bool(),
                 SigBit::Wire(..) => {
-                    let value = path.get(&sel).copied().or_else(|| resolve(sel, &path));
+                    let value = path.get(index, sel).or_else(|| resolve(sel, &path.map));
                     if let Some(value) = value {
                         pins.push(Pin {
                             cell: id,
@@ -130,7 +167,12 @@ pub fn walk_muxtrees(
             (CellKind::Mux, &[(_, Some(live))]) => {
                 let slot = port(if live { Port::B } else { Port::A });
                 if let Some(child) = slot_child(module, index, readers, slot) {
-                    stack.push((child, path));
+                    let at = fixes.len();
+                    stack.push(Frame {
+                        cell: child,
+                        mark,
+                        fixes: at..at,
+                    });
                 }
             }
             // otherwise slot 0 (A, the default) is live when every select
@@ -142,18 +184,64 @@ pub fn walk_muxtrees(
                         continue;
                     };
                     let fixed = if j == 0 { sels.len() } else { j };
-                    let mut child_path = path.clone();
+                    let start = fixes.len();
                     for (i, &(sel, _)) in sels[..fixed].iter().enumerate() {
                         if !sel.is_const() {
-                            child_path.insert(sel, i + 1 == j);
+                            fixes.push((sel, i + 1 == j));
                         }
                     }
-                    stack.push((child, child_path));
+                    stack.push(Frame {
+                        cell: child,
+                        mark,
+                        fixes: start..fixes.len(),
+                    });
                 }
             }
         }
     }
     pins
+}
+
+/// A mux-tree node waiting to be visited.
+struct Frame {
+    cell: CellId,
+    /// Trail length of the parent's path.
+    mark: usize,
+    /// This node's select fixes, as a range of the walk's fix stack.
+    fixes: std::ops::Range<usize>,
+}
+
+/// The walk's one path condition, its mirror by bit id, and the trail
+/// that undoes its inserts.
+struct Path {
+    map: PathCondition,
+    by_id: Vec<Option<bool>>,
+    /// Each insert's bit, its id and the value it replaced.
+    trail: Vec<(SigBit, usize, Option<bool>)>,
+}
+
+impl Path {
+    fn get(&self, index: &NetIndex, canonical_bit: SigBit) -> Option<bool> {
+        index.bit_id(canonical_bit).and_then(|i| self.by_id[i])
+    }
+
+    fn insert(&mut self, index: &NetIndex, bit: SigBit, value: bool) {
+        let id = index.bit_id(bit).expect("a select of the module");
+        let old = self.map.insert(bit, value);
+        self.by_id[id] = Some(value);
+        self.trail.push((bit, id, old));
+    }
+
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let (bit, id, old) = self.trail.pop().expect("above the mark");
+            match old {
+                Some(value) => self.map.insert(bit, value),
+                None => self.map.remove(&bit),
+            };
+            self.by_id[id] = old;
+        }
+    }
 }
 
 /// Writes each pin's value into its port bit.
@@ -209,16 +297,19 @@ pub fn muxtree_roots(
     node: impl Fn(CellKind) -> bool,
 ) -> Vec<CellId> {
     let nodes: Vec<(CellId, &Cell)> = module.cells().filter(|(_, c)| node(c.kind)).collect();
-    let owned: HashSet<CellId> = nodes
-        .iter()
-        .flat_map(|(_, cell)| data_slots(cell))
-        .filter_map(|slot| slot_child(module, index, readers, slot))
-        .filter(|&child| module.cell(child).is_some_and(|c| node(c.kind)))
-        .collect();
+    // an owned child is itself a node, so the last node bounds every id
+    let mut owned = vec![false; nodes.last().map_or(0, |(id, _)| id.index() + 1)];
+    for slot in nodes.iter().flat_map(|(_, cell)| data_slots(cell)) {
+        if let Some(child) = slot_child(module, index, readers, slot) {
+            if module.cell(child).is_some_and(|c| node(c.kind)) {
+                owned[child.index()] = true;
+            }
+        }
+    }
     nodes
         .into_iter()
         .map(|(id, _)| id)
-        .filter(|id| !owned.contains(id))
+        .filter(|id| !owned[id.index()])
         .collect()
 }
 
